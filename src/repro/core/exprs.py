@@ -8,11 +8,22 @@ every rank to recover the concrete communication pattern — the
 framework" of Section I. Evaluation is sandboxed: the expression is
 parsed to an AST and only arithmetic/comparison/boolean nodes and
 whitelisted names are allowed.
+
+Those analyses evaluate the same few strings once per rank, so each
+string is translated, parsed, whitelist-checked and compiled once and
+kept in a bounded memo (:func:`_compiled`) as a code object plus the
+set of names it reads. A call then only checks that every one of
+those names is bound in *its own* ``variables`` and runs ``eval``.
+Values are never cached. When a call fails — bad syntax, unsupported
+syntax, or a name this call does not bind — the full validation walk
+runs again with this call's bindings, so the exception and its
+message are the same on every call.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from typing import Any
 
 from repro.errors import PragmaSyntaxError
@@ -63,21 +74,18 @@ def c_to_python(expr: str) -> str:
     return "".join(out)
 
 
-def evaluate(expr: str, variables: dict[str, Any]) -> Any:
-    """Evaluate a clause expression under the given variable bindings.
-
-    >>> evaluate("(rank+1)%nprocs", {"rank": 3, "nprocs": 4})
-    0
-    >>> evaluate("rank%2==0 && rank>0", {"rank": 2})
-    True
-    """
+def _parse(expr: str) -> ast.Expression:
     py = c_to_python(expr).strip()
     try:
-        tree = ast.parse(py, mode="eval")
+        return ast.parse(py, mode="eval")
     except SyntaxError as exc:
         raise PragmaSyntaxError(
             f"cannot parse clause expression {expr!r}: {exc.msg}") from exc
-    for node in ast.walk(tree):
+
+
+def _validate(expr: str, variables: dict[str, Any]) -> None:
+    """The whitelist walk; raises on the first offending node."""
+    for node in ast.walk(_parse(expr)):
         if not isinstance(node, _ALLOWED_NODES):
             raise PragmaSyntaxError(
                 f"clause expression {expr!r} uses unsupported syntax "
@@ -86,16 +94,46 @@ def evaluate(expr: str, variables: dict[str, Any]) -> Any:
             raise PragmaSyntaxError(
                 f"clause expression {expr!r} references unknown name "
                 f"{node.id!r}; known: {sorted(variables)}")
-    return eval(compile(tree, "<clause>", "eval"),  # noqa: S307 - sandboxed
-                {"__builtins__": {}}, dict(variables))
+
+
+@functools.lru_cache(maxsize=1024)
+def _compiled(expr: str) -> tuple[Any, frozenset[str]] | None:
+    """``(code, free names)`` of a whitelisted expression, else None."""
+    try:
+        tree = _parse(expr)
+    except PragmaSyntaxError:
+        return None
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, _ALLOWED_NODES):
+            return None
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+    return compile(tree, "<clause>", "eval"), frozenset(names)
+
+
+def evaluate(expr: str, variables: dict[str, Any]) -> Any:
+    """Evaluate a clause expression under the given variable bindings.
+
+    >>> evaluate("(rank+1)%nprocs", {"rank": 3, "nprocs": 4})
+    0
+    >>> evaluate("rank%2==0 && rank>0", {"rank": 2})
+    True
+    """
+    entry = _compiled(expr)
+    if entry is None or not entry[1] <= variables.keys():
+        _validate(expr, variables)
+        raise AssertionError("unreachable: the walk above raises")
+    # The whitelist admits no store, so ``variables`` can serve as the
+    # locals mapping directly: evaluation never writes to it.
+    return eval(entry[0], {"__builtins__": {}},  # noqa: S307 - sandboxed
+                variables)
 
 
 def free_names(expr: str) -> set[str]:
     """The variable names an expression references."""
-    py = c_to_python(expr).strip()
-    try:
-        tree = ast.parse(py, mode="eval")
-    except SyntaxError as exc:
-        raise PragmaSyntaxError(
-            f"cannot parse clause expression {expr!r}: {exc.msg}") from exc
-    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    entry = _compiled(expr)
+    if entry is not None:
+        return set(entry[1])
+    return {n.id for n in ast.walk(_parse(expr))
+            if isinstance(n, ast.Name)}

@@ -39,7 +39,6 @@ from repro.lintserve.scheduler import (
     UnitSpec,
     lint_sources,
     pool_map,
-    run_unit,
 )
 
 __all__ = [
@@ -55,6 +54,5 @@ __all__ = [
     "lint_sources",
     "pool_map",
     "request_over_socket",
-    "run_unit",
     "unit_key",
 ]

@@ -103,14 +103,17 @@ class ResultCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 value = json.load(fh)
+        except FileNotFoundError:
+            # The common case: nothing stored under this key yet.
+            self.misses += 1
+            return None
         except (OSError, json.JSONDecodeError):
-            # Missing is the common case; a torn/corrupt entry (killed
-            # writer on a non-atomic filesystem) is dropped and redone.
-            if path.exists():
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            # A torn/corrupt entry (killed writer on a non-atomic
+            # filesystem) is dropped and redone.
+            try:
+                path.unlink()
+            except OSError:
+                pass
             self.misses += 1
             return None
         if not isinstance(value, dict):

@@ -1,14 +1,18 @@
 """Work-sharded lint driver: files × targets fanned over a pool.
 
-The unit of work is deliberately smaller than a file: one file's lint
-decomposes into a target-independent **structure** unit, one
-**verify** unit per swept lowering target, and (under ``--advise``)
-one **advisor** unit — the decomposition
+The unit of memoization is deliberately smaller than a file: one
+file's lint decomposes into a target-independent **structure** unit,
+one **verify** unit per swept lowering target, and (under
+``--advise``) one **advisor** unit — the decomposition
 :func:`repro.core.analysis.lint.lint_program` itself is built from.
 Each unit is a pure function of (source text, nprocs, extra vars,
-target), so units parallelize and memoize independently: a 1000-file
-tree at three targets is ~4000 units for the pool, and an incremental
-re-lint re-executes only the units of files that changed.
+target), so units memoize independently: a 1000-file tree at three
+targets is ~4000 cache entries, and an incremental re-lint re-executes
+only the units of files that changed.
+
+The unit of *execution* is one file's pending units
+(:func:`run_file_units`): they share one parse and one sync plan, as
+``lint_program`` shares them, and the pool fans those per-file tasks.
 
 Scheduling is deterministic-by-construction: units are *generated* in
 file order, *executed* in any order (``ProcessPoolExecutor.map`` over
@@ -35,6 +39,7 @@ from repro.core.analysis.lint import (
     structure_report,
     verify_target_diagnostics,
 )
+from repro.core.analysis.syncopt import plan_synchronization
 from repro.core.clauses import Target
 from repro.core.pragma import parse_program
 from repro.errors import ReproError
@@ -46,7 +51,7 @@ from repro.lintserve.merge import (
 )
 
 __all__ = ["LintServiceStats", "UnitSpec", "lint_sources", "pool_map",
-           "run_unit"]
+           "run_file_units"]
 
 
 @dataclass(frozen=True)
@@ -83,39 +88,56 @@ class UnitSpec:
         return (self.source, self.nprocs, self.extra_vars)
 
 
-def run_unit(spec: UnitSpec) -> dict:
-    """Execute one unit (in a pool worker or inline) → result dict.
+def run_file_units(specs: Sequence[UnitSpec]) -> list[dict]:
+    """Execute one file's pending units (in a pool worker or inline).
+
+    ``specs`` share (source, nprocs, extra vars, sweep), so they run
+    against one parse and one sync plan, as in ``lint_program``. Each
+    result carries the wall time since the previous one, so the first
+    unit's ``wall_s`` includes the shared parse and plan.
 
     A parse failure is a *result*, not an exception — every unit of a
     broken file reports the same ``parse_error`` and the merge turns
     it into the CI000 report, exactly like the sequential CLI.
     """
-    t0 = time.perf_counter()
-    extra_vars = dict(spec.extra_vars) or None
+    t_prev = time.perf_counter()
+    first = specs[0]
+    extra_vars = dict(first.extra_vars) or None
+    swept = [Target.parse(t) for t in first.swept]
     try:
-        program = parse_program(spec.source)
+        program = parse_program(first.source)
     except ReproError as exc:
         line = getattr(exc, "line", None) or 0
-        return {"parse_error": {"line": line, "message": str(exc)},
-                "wall_s": time.perf_counter() - t0}
-    swept = [Target.parse(t) for t in spec.swept]
-    out: dict
-    if spec.kind == "structure":
-        report = structure_report(program, spec.nprocs, extra_vars,
-                                  spec.path, targets=swept)
-        out = serialize_structure(report)
-    elif spec.kind == "verify":
-        diags = verify_target_diagnostics(
-            program, spec.nprocs, extra_vars, Target.parse(spec.target))
-        out = {"diagnostics": serialize_diagnostics(diags)}
-    elif spec.kind == "advise":
-        diags = advise_diagnostics(program, spec.nprocs, extra_vars,
-                                   swept)
-        out = {"diagnostics": serialize_diagnostics(diags)}
+        error = {"line": line, "message": str(exc)}
+        program = None
     else:
-        raise ValueError(f"unknown unit kind {spec.kind!r}")
-    out["wall_s"] = time.perf_counter() - t0
-    return out
+        plan = plan_synchronization(program)
+    results: list[dict] = []
+    for spec in specs:
+        out: dict
+        if program is None:
+            out = {"parse_error": dict(error)}
+        elif spec.kind == "structure":
+            report = structure_report(program, spec.nprocs, extra_vars,
+                                      spec.path, targets=swept,
+                                      plan=plan)
+            out = serialize_structure(report)
+        elif spec.kind == "verify":
+            diags = verify_target_diagnostics(
+                program, spec.nprocs, extra_vars,
+                Target.parse(spec.target), plan=plan)
+            out = {"diagnostics": serialize_diagnostics(diags)}
+        elif spec.kind == "advise":
+            diags = advise_diagnostics(program, spec.nprocs, extra_vars,
+                                       swept)
+            out = {"diagnostics": serialize_diagnostics(diags)}
+        else:
+            raise ValueError(f"unknown unit kind {spec.kind!r}")
+        now = time.perf_counter()
+        out["wall_s"] = now - t_prev
+        t_prev = now
+        results.append(out)
+    return results
 
 
 def file_units(path: str, source: str, nprocs: int,
@@ -232,9 +254,16 @@ def lint_sources(sources: Sequence[tuple[str, str]], *,
 
     stats.units_from_cache = len(results)
     stats.units_executed = len(pending)
-    for spec, result in zip(pending,
-                            pool_map(run_unit, pending, jobs, executor)):
-        results[spec] = result
+    by_file: dict[tuple, list[UnitSpec]] = {}
+    for spec in pending:
+        by_file.setdefault((spec.source, spec.nprocs, spec.extra_vars,
+                            spec.swept), []).append(spec)
+    groups = list(by_file.values())
+    for group, outs in zip(groups, pool_map(run_file_units, groups,
+                                            jobs, executor)):
+        results.update(zip(group, outs))
+    for spec in pending:
+        result = results[spec]
         stats.executed_wall_s += result.get("wall_s", 0.0)
         stats.unit_walls.append((spec.kind, result.get("wall_s", 0.0)))
         if cache is not None:

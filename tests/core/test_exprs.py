@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import exprs
 from repro.core.exprs import c_to_python, evaluate, free_names
 from repro.errors import PragmaSyntaxError
 
@@ -73,3 +74,59 @@ class TestFreeNames:
         assert free_names("(rank+1)%nprocs") == {"rank", "nprocs"}
         assert free_names("3+4") == set()
         assert free_names("a && !b") == {"a", "b"}
+
+    def test_free_names_of_unsupported_syntax(self):
+        # Not whitelisted, so not compiled: the names come from the
+        # parse tree as they always have.
+        assert free_names("a[0]") == {"a"}
+        assert free_names("f(x)") == {"f", "x"}
+
+    def test_free_names_is_a_fresh_set(self):
+        names = free_names("rank+1")
+        names.add("other")
+        assert free_names("rank+1") == {"rank"}
+
+
+class TestCompileMemo:
+    @pytest.mark.parametrize("expr,vars", [
+        ("rank +", {"rank": 0}),
+        ("a[0]", {"a": [1]}),
+        ("f(x)", {"x": 1}),
+        ("rank + bogus", {"rank": 0}),
+        ("a ? b : c", {"a": 1, "b": 2, "c": 3}),
+    ])
+    def test_same_error_on_every_call(self, expr, vars):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(PragmaSyntaxError) as info:
+                evaluate(expr, vars)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_missing_name_is_checked_per_call(self):
+        assert evaluate("rank-1", {"rank": 3}) == 2
+        with pytest.raises(PragmaSyntaxError) as info:
+            evaluate("rank-1", {"nprocs": 4})
+        assert str(info.value) == (
+            "clause expression 'rank-1' references unknown name "
+            "'rank'; known: ['nprocs']")
+        assert evaluate("rank-1", {"rank": 5}) == 4
+
+    def test_first_offending_node_depends_on_the_bindings(self):
+        # The walk reports the first bad node under this call's
+        # bindings: an unbound name ahead of the unsupported subscript.
+        with pytest.raises(PragmaSyntaxError, match="unknown name 'b'"):
+            evaluate("b + a[0]", {})
+        with pytest.raises(PragmaSyntaxError, match=r"\(Subscript\)"):
+            evaluate("b + a[0]", {"b": 1, "a": [1]})
+
+    def test_variables_not_mutated(self):
+        variables = {"rank": 2, "nprocs": 4}
+        before = dict(variables)
+        assert evaluate("(rank+1)%nprocs", variables) == 3
+        assert evaluate("rank==0 || rank==nprocs-1", variables) is False
+        assert variables == before
+        assert list(variables) == list(before)
+
+    def test_memo_is_bounded(self):
+        assert exprs._compiled.cache_info().maxsize is not None

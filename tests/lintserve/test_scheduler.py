@@ -1,0 +1,92 @@
+"""The scheduler runs each file's pending units on one parse.
+
+A file's structure and verify units share one ``parse_program`` and
+one sync plan, as ``lint_program`` shares them, while the cache still
+keeps one entry per unit and the stats one wall time per unit.
+"""
+
+from pathlib import Path
+
+from repro.core.analysis.codes import make
+from repro.core.analysis.lint import LintReport, lint_program
+from repro.core.pragma import parse_program
+from repro.core.pragma.__main__ import render_reports
+from repro.errors import ReproError
+from repro.lintserve import ResultCache, lint_sources
+from repro.lintserve import scheduler
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "pragmas"
+
+BROKEN = "double a[8];\n#pragma comm_p2p sender(\n{\n}\n"
+
+
+def _sources():
+    ring = (EXAMPLES / "ring.c").read_text()
+    return [("ring.c", ring),
+            ("halo1d.c", (EXAMPLES / "halo1d.c").read_text()),
+            ("broken.c", BROKEN),
+            ("copy/ring.c", ring)]
+
+
+def _count_parses(monkeypatch):
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return parse_program(source)
+
+    monkeypatch.setattr(scheduler, "parse_program", counting)
+    return calls
+
+
+def test_one_parse_per_file(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    sources = [("ring.c", (EXAMPLES / "ring.c").read_text()),
+               ("halo1d.c", (EXAMPLES / "halo1d.c").read_text()),
+               ("evenodd.c", (EXAMPLES / "evenodd.c").read_text())]
+    _, stats = lint_sources(sources, jobs=1, advise=True)
+    assert stats.units_executed == 3 * 5
+    assert sorted(calls) == sorted(source for _, source in sources)
+
+
+def test_one_wall_per_executed_unit(tmp_path):
+    sources = _sources()[:2]
+    _, cold = lint_sources(sources, cache=ResultCache(tmp_path))
+    kinds = ["structure", "verify", "verify", "verify"]
+    assert [kind for kind, _ in cold.unit_walls] == kinds * 2
+    assert all(wall >= 0.0 for _, wall in cold.unit_walls)
+    assert cold.executed_wall_s == sum(w for _, w in cold.unit_walls)
+
+    edited = [sources[0], ("halo1d.c", sources[1][1] + "\n")]
+    _, warm = lint_sources(edited, cache=ResultCache(tmp_path))
+    assert [kind for kind, _ in warm.unit_walls] == kinds
+    assert warm.units_executed == len(warm.unit_walls) == 4
+
+
+def _sequential(sources):
+    """The CLI's sequential path: ``lint_program`` per parsed file."""
+    reports = []
+    for path, source in sources:
+        try:
+            program = parse_program(source)
+        except ReproError as exc:
+            line = getattr(exc, "line", None) or 0
+            report = LintReport(path=path)
+            report.diagnostics.append(make("CI000", line, str(exc)))
+            reports.append(report)
+            continue
+        reports.append(lint_program(program, path=path))
+    return reports
+
+
+def test_parse_error_and_duplicate_sources_render_identically(tmp_path):
+    sources = _sources()
+    expected = _sequential(sources)
+    assert expected[2].diagnostics[0].code == "CI000"
+    runs = [lint_sources(sources)[0],
+            lint_sources(sources, jobs=2)[0],
+            lint_sources(sources, cache=ResultCache(tmp_path))[0],
+            lint_sources(sources, cache=ResultCache(tmp_path))[0]]
+    for fmt in ("json", "sarif"):
+        want = render_reports(expected, fmt)
+        assert all(render_reports(r, fmt) == want for r in runs)
