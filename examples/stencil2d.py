@@ -8,8 +8,8 @@ consolidated synchronization per sweep, and the interior update is
 verified against a single-rank reference.
 
 Also prints the run's communication matrix (who sent how much to
-whom), recovered from the trace — the dynamic analysis the directives
-make easy.
+whom), recovered from the run's profile spans — the dynamic analysis
+the directives make easy.
 
 Run:  python examples/stencil2d.py
 """
@@ -51,7 +51,7 @@ def run_parallel(nprocs: int):
     assert NY_GLOBAL % py == 0 and NX_GLOBAL % px == 0
     ny, nx = NY_GLOBAL // py, NX_GLOBAL // px
     model = gemini_model()
-    eng = Engine(nprocs, trace=True)
+    eng = Engine(nprocs, profile=True)
 
     def program(env):
         comm = mpi.init(env, model)
@@ -105,7 +105,7 @@ def main() -> None:
         assert err < 1e-12
         assert waitalls == SWEEPS * nprocs
     print("\ncommunication matrix of the last run:")
-    print(comm_matrix(eng.trace, nprocs).render())
+    print(comm_matrix(res.profile).render())
 
 
 if __name__ == "__main__":

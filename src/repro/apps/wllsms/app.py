@@ -61,7 +61,6 @@ class AppConfig:
     collective_intent: bool = False
     seed: int = 2013
     model: MachineModel | None = None
-    trace: bool = False
     #: Record a span profile (:mod:`repro.profiling`) of the run.
     profile: bool = False
 
@@ -162,7 +161,6 @@ class AppResult:
     #: The WL sampler state after the run.
     wang_landau: WangLandau
     makespan: float
-    trace: Any = None
     #: Per-rank virtual finish times (determinism regression tests
     #: compare these across scheduler implementations).
     finish_times: list[float] | None = None
@@ -180,8 +178,7 @@ def run_app(config: AppConfig, *, engine_cls: type[Engine] = Engine
     """
     topo = config.topology
     model = config.model or gemini_model()
-    engine = engine_cls(topo.nprocs, trace=config.trace,
-                        profile=config.profile)
+    engine = engine_cls(topo.nprocs, profile=config.profile)
     phases = PhaseTimes()
     num_types = topo.atoms_per_group()
 
@@ -242,7 +239,6 @@ def run_app(config: AppConfig, *, engine_cls: type[Engine] = Engine
         group_energies=wl_state["energies"],
         wang_landau=wl,
         makespan=run.makespan,
-        trace=engine.trace,
         finish_times=run.finish_times,
         profile=run.profile,
     )

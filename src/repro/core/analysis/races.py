@@ -48,7 +48,7 @@ from repro.core.clauses import Target
 from repro.core.ir import Program
 from repro.errors import ReproError
 
-#: Trace-index "never synchronized": later than any real event.
+#: Per-rank event index "never synchronized": later than any real event.
 _OPEN = 1 << 30
 
 _SHMEM = Target.SHMEM.value

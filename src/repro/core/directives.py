@@ -79,8 +79,6 @@ class CommParameters:
         self._state = RegionState.of(self.env)
         self._state.on_region_enter(self.env, self.place_sync)
         self._state.stack.append(self)
-        self.env.trace("dir.region_enter",
-                       place_sync=self.place_sync.value)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -96,7 +94,6 @@ class CommParameters:
             # handles so the error propagates undisturbed.
             return
         state.on_region_exit(self.env, self.pending, self.place_sync)
-        self.env.trace("dir.region_exit")
 
 
 class CommP2P:
@@ -162,15 +159,12 @@ class CommP2P:
         # delivery races with this directive's transfer.
         state = RegionState.of(env)
         if state.carried.overlaps(local_arrays):
-            env.trace("dir.dependent_flush")
             state.flush_carry(env)
         for enclosing in state.stack:
             if (enclosing.pending is not pending
                     and enclosing.pending.overlaps(local_arrays)):
-                env.trace("dir.dependent_flush")
                 enclosing.pending.sync(env)
         if pending.overlaps(local_arrays):
-            env.trace("dir.dependent_flush")
             pending.sync(env)
 
         profile = env.engine.profile
@@ -201,8 +195,6 @@ class CommP2P:
                 bytes=sum(h.nbytes for h in (*my_sends, *my_recvs)),
                 **({} if label is None else {"label": label}))
             pending.note_window(env)
-        env.trace("dir.p2p", target=target.value, count=count,
-                  sends=len(my_sends), recvs=len(my_recvs))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

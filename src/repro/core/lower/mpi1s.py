@@ -72,7 +72,6 @@ class Mpi1sBackend(Backend):
                  if faults is not None else 0.0)
         completion = self.env.now + self.tp.wire_time(nbytes) + extra
         self.comm.world.stats.count_message(MPI_1SIDED, nbytes)
-        self.env.trace("dir.mpi1s.put", dest=dest, nbytes=nbytes)
         profile = self.env.engine.profile
         if profile is not None:
             profile.add(dest, "message", post_t0, completion,

@@ -95,7 +95,6 @@ class PendingComm:
                                           (h.backend, [], []))
             entry[2].append(h)
         n_ops = len(self.sends) + len(self.recvs)
-        env.trace("dir.sync", ops=n_ops, backends=len(by_backend))
         sync_t0 = env.now
         # Two-phase across backends: publish every backend's outgoing
         # completions and notifies first, then block. Interleaving the

@@ -53,8 +53,9 @@ class SimHangError(SimAbortError):
     no rank's clock advances — a polling livelock) and *wall-clock hangs*
     (no scheduling point was reached for longer than the configured
     timeout — e.g. an infinite loop in user code). The message carries a
-    per-rank progress report (state, clock, blocked reason, last trace
-    event) so the hang is debuggable instead of silent.
+    per-rank progress report (state, clock, blocked reason, and under
+    ``profile=True`` the last span) so the hang is debuggable instead of
+    silent.
     """
 
     def __init__(self, message: str, report: str | None = None):

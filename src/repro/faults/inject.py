@@ -100,7 +100,7 @@ class FaultInjector:
         delivery: bounded retries with exponential backoff plus
         deterministic jitter, each retry counted in
         ``SimStats.retries`` and recorded as a ``retry`` span so
-        recovery work is visible in the trace.
+        recovery work is visible in the profile.
         """
         engine = self._engine
         ctx = engine.recovery if engine is not None else None

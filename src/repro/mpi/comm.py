@@ -249,8 +249,6 @@ class Comm:
         if eager:
             op.completion = self.env.now  # buffered; sender is done
         matching.post_send(self.world, self.env, op)
-        self.env.trace("mpi.send_post", dest=op.dst, tag=tag,
-                       nbytes=nbytes, eager=eager)
         return op
 
     def _post_recv(self, buf: Any, source: int, tag: int, *,
@@ -277,7 +275,6 @@ class Comm:
                     dst=self.env.rank, source=src_global, tag=tag,
                     buf=arr, post_time=self.env.now)
         matching.post_recv(self.world, self.env, op)
-        self.env.trace("mpi.recv_post", source=source, tag=tag)
         return op
 
     # ------------------------------------------------------------------

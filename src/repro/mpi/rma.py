@@ -109,6 +109,7 @@ class Win:
                 f"window {mem.dtype}")
         tp = self.comm.world.model.transport(MPI_1SIDED)
         env = self.comm.env
+        post_t0 = env.now
         env.advance(tp.send_overhead(origin.nbytes))
         flat[target_offset:target_offset + n] = origin.reshape(-1)
         completion = env.now + tp.wire_time(origin.nbytes)
@@ -123,9 +124,11 @@ class Win:
             self._access_pending.setdefault(target_rank,
                                             []).append(completion)
         self.comm.world.stats.count_message(MPI_1SIDED, origin.nbytes)
-        env.trace("rma.put",
-                  target=self.comm.group.global_rank(target_rank),
-                  nbytes=origin.nbytes)
+        profile = env.engine.profile
+        if profile is not None:
+            dst = self.comm.group.global_rank(target_rank)
+            profile.add(dst, "message", post_t0, completion, src=env.rank,
+                        dst=dst, nbytes=origin.nbytes, transport="mpi1s")
 
     def Get(self, origin: np.ndarray, target_rank: int,
             target_offset: int = 0) -> None:
@@ -149,7 +152,6 @@ class Win:
         if self._lock_target is not None:
             self._lock_pending.append(completion)
         self.comm.world.stats.count_message(MPI_1SIDED, origin.nbytes)
-        env.trace("rma.get", target=target_rank, nbytes=origin.nbytes)
 
     # ------------------------------------------------------------------
     # Active-target synchronization

@@ -1,9 +1,10 @@
 """Span-based profiling of simulated runs (``repro.profiling``).
 
-Where :mod:`repro.sim.tracing` records flat point events, this package
-records **spans** — begin/end intervals in virtual time carrying
-directive, sync-plan and message identity — and builds the analyses the
-paper's performance story needs on top of them:
+The simulator's one event stream: this package records **spans** —
+begin/end intervals in virtual time carrying directive, sync-plan and
+message identity — and builds the analyses the paper's performance
+story needs on top of them (the communication matrix,
+:func:`repro.sim.comm_matrix`, reads the same spans):
 
 * :mod:`repro.profiling.spans` — the :class:`Profile` recorder the
   engine and the communication libraries emit into

@@ -15,9 +15,10 @@ sync       :meth:`repro.core.region.PendingComm.sync` — one
 window     a posted-but-unsynced interval on one rank (posts open it,
            the covering sync closes it); the realized-overlap metric
            intersects compute spans with these
-message    a payload delivery: a matched MPI send/recv pair, an
-           ``MPI_Put`` or a ``shmem_put`` (``src``/``dst``/``seq``/
-           ``nbytes``/``transport``)
+message    a payload delivery: a matched MPI send/recv pair, a
+           directive or raw ``MPI_Put`` or a ``shmem_put`` (``src``/
+           ``dst``/``nbytes``/``transport``; ``seq`` where the transfer
+           has one); :func:`repro.sim.comm_matrix` counts these
 notify     the one-sided flag update a receiver's sync waits on
 barrier    one rank's episode of a :class:`repro.sim.sync.Rendezvous`
            (``critical_rank`` names the last arriver)
@@ -73,10 +74,10 @@ class Span:
 class Profile:
     """An append-only span log for one simulated run.
 
-    Opt-in via ``Engine(profile=True)``; the collected profile rides on
-    :attr:`repro.sim.engine.RunResult.profile`. Unlike
-    :class:`repro.sim.tracing.Trace` this log is unbounded — profiling
-    is an explicit request, and the analyses need the whole run.
+    The run's one event stream. Opt-in via ``Engine(profile=True)``; the
+    collected profile rides on :attr:`repro.sim.engine.RunResult.profile`.
+    The log is unbounded — profiling is an explicit request, and the
+    analyses need the whole run.
     """
 
     def __init__(self) -> None:

@@ -117,7 +117,6 @@ class RecoveryContext:
         engine.stats.checkpoints_taken += 1
         if engine.profile is not None:
             engine.profile.instant(rank, "checkpoint", env.now, cut=cut)
-        env.trace("recovery.checkpoint", cut=cut)
         return cut
 
     def restore_for(self, env: Any) -> Checkpoint | None:
@@ -138,7 +137,6 @@ class RecoveryContext:
             if engine.profile is not None:
                 engine.profile.instant(env.rank, "restore", env.now,
                                        cut=cp.cut)
-            env.trace("recovery.restore", cut=cp.cut)
         return cp
 
 
@@ -208,7 +206,6 @@ def run_with_recovery(prog: Callable[..., Any], nprocs: int, *,
                       faults: Any = None,
                       config: RecoveryConfig | None = None,
                       watchdog: Any = None,
-                      trace: bool = False,
                       profile: bool = False,
                       max_time: float | None = None) -> RunResult:
     """Run ``prog`` over ``nprocs`` ranks, surviving injected faults.
@@ -242,7 +239,7 @@ def run_with_recovery(prog: Callable[..., Any], nprocs: int, *,
     while True:
         ctx = RecoveryContext(config=config, store=store,
                               restore_cut=restore_cut, attempt=attempt)
-        eng = Engine(world, faults=plan, watchdog=watchdog, trace=trace,
+        eng = Engine(world, faults=plan, watchdog=watchdog,
                      profile=profile, max_time=max_time, recovery=ctx)
         failure: RankFailedError | None = None
         result: RunResult | None = None

@@ -159,7 +159,6 @@ class Shmem:
         completion = self.env.now + self._tp.wire_time(nbytes) + extra
         self._pending.append(completion)
         self.env.engine.stats.count_message(SHMEM, nbytes)
-        self.env.trace("shmem.put", pe=pe, nbytes=nbytes, call=name)
         profile = self.env.engine.profile
         if profile is not None:
             profile.add(pe, "message", post_t0, completion,
@@ -234,7 +233,6 @@ class Shmem:
         # A blocking get is a full round trip.
         self.env.advance(self._tp.latency(8) + self._tp.wire_time(nbytes))
         self.env.engine.stats.count_message(SHMEM, nbytes)
-        self.env.trace("shmem.get", pe=pe, nbytes=nbytes)
 
     # ------------------------------------------------------------------
     # Completion & synchronization
@@ -308,7 +306,6 @@ class Shmem:
         self.env.advance(self._tp.send_overhead(nbytes))
         completion = self.env.now + self._tp.wire_time(nbytes)
         self.env.engine.stats.count_message(SHMEM, nbytes)
-        self.env.trace("shmem.amo", pe=pe, call=name)
         return completion
 
     def atomic_add(self, sym: SymArray, index: int, value, pe: int) -> None:

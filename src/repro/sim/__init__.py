@@ -17,6 +17,10 @@ Key properties:
 * **Measurable** — virtual time advances only through explicit compute
   modelling and communication cost models, so "time" is a property of
   the algorithm, not of the host machine.
+* **Observable** — ``Engine(profile=True)`` records the run's one event
+  stream, a span :class:`repro.profiling.Profile`;
+  :func:`comm_matrix` derives who sent how much to whom from its
+  ``message`` spans.
 """
 
 from repro.sim.commstats import CommMatrix, comm_matrix
@@ -25,7 +29,6 @@ from repro.sim.legacy import SeedEngine
 from repro.sim.process import Env
 from repro.sim.stats import SimStats
 from repro.sim.sync import Rendezvous
-from repro.sim.tracing import Trace, TraceEvent
 
 __all__ = [
     "CommMatrix",
@@ -36,6 +39,4 @@ __all__ = [
     "Env",
     "SimStats",
     "Rendezvous",
-    "Trace",
-    "TraceEvent",
 ]

@@ -1,35 +1,29 @@
-"""Communication-pattern analysis over run traces.
+"""Communication-pattern analysis over run profiles.
 
 The paper motivates directives partly as fuel for "automated analysis"
 of an application's communication. This module provides the dynamic
-side of that story: given a traced run, build the communication matrix
-(who sent how much to whom), message-size histograms, and per-phase
-message counts — the quantities the characterization studies the paper
-cites ([1] Vetter & Mueller, [2] Kim & Lilja) report for real codes.
+side of that story: given a profiled run, build the communication
+matrix (who sent how much to whom), message-size histograms, and
+per-phase message counts — the quantities the characterization studies
+the paper cites ([1] Vetter & Mueller, [2] Kim & Lilja) report for real
+codes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.tracing import Trace
-
-#: Trace kinds that represent one initiated transfer, with the field
-#: carrying the destination rank.
-_SEND_KINDS = {
-    "mpi.send_post": "dest",
-    "shmem.put": "pe",
-    "dir.mpi1s.put": "dest",
-    "rma.put": "target",
-}
+if TYPE_CHECKING:  # pragma: no cover - keeps profiling off sim's import path
+    from repro.profiling.spans import Profile
 
 
 @dataclass
 class CommMatrix:
-    """Aggregated communication of one traced run."""
+    """Aggregated communication of one profiled run."""
 
     nprocs: int
     #: messages[src][dst] — message counts.
@@ -107,18 +101,19 @@ def _bucket(nbytes: int) -> int:
     return b
 
 
-def comm_matrix(trace: Trace, nprocs: int) -> CommMatrix:
-    """Build the communication matrix from a traced run."""
-    m = CommMatrix(nprocs)
-    for event in trace:
-        dest_field = _SEND_KINDS.get(event.kind)
-        if dest_field is None:
-            continue
-        dst = event.fields.get(dest_field)
-        nbytes = event.fields.get("nbytes", 0)
-        if dst is None:
-            continue
-        m.messages[event.rank, dst] += 1
-        m.volume[event.rank, dst] += nbytes
+def comm_matrix(profile: "Profile") -> CommMatrix:
+    """Build the communication matrix from a profiled run.
+
+    Every ``message`` span is one initiated transfer — a matched MPI
+    send, an ``MPI_Put`` or a ``shmem_put`` — counted at
+    ``(src, dst)`` with its ``nbytes``. One-sided ``notify`` spans are
+    synchronization, not payload, and are not counted.
+    """
+    m = CommMatrix(profile.nranks)
+    for span in profile.of_kind("message"):
+        pair = span.attrs["src"], span.attrs["dst"]
+        nbytes = span.attrs["nbytes"]
+        m.messages[pair] += 1
+        m.volume[pair] += nbytes
         m.size_histogram[_bucket(nbytes)] += 1
     return m

@@ -55,7 +55,6 @@ from repro.errors import (
 )
 from repro.sim.process import Env
 from repro.sim.stats import SimStats
-from repro.sim.tracing import Trace
 
 
 class ProcState(enum.Enum):
@@ -183,7 +182,6 @@ class RunResult:
     #: Per-rank return values of the SPMD callable.
     values: list[Any]
     stats: SimStats
-    trace: Trace | None = None
     #: Ranks killed by fault injection. Non-empty only for a *degraded*
     #: run: every surviving rank finished without touching a dead peer.
     #: Crashed ranks contribute their crash time to ``finish_times`` and
@@ -232,9 +230,6 @@ class Engine:
     ----------
     nprocs:
         Number of simulated ranks.
-    trace:
-        If true, collect a :class:`~repro.sim.tracing.Trace` of engine and
-        library events (bounded by ``trace_maxlen``).
     max_time:
         Safety limit on virtual time; a rank advancing past it aborts the
         run (guards against accidental infinite loops in modelled time).
@@ -267,8 +262,7 @@ class Engine:
         the dynamic cross-check of the static CI04x race findings.
     """
 
-    def __init__(self, nprocs: int, *, trace: bool = False,
-                 trace_maxlen: int | None = 200_000,
+    def __init__(self, nprocs: int, *,
                  max_time: float | None = None,
                  faults: Any = None,
                  watchdog: Any = None,
@@ -292,7 +286,6 @@ class Engine:
         #: Virtual crash time per killed rank.
         self.crash_times: dict[int, float] = {}
         self.stats = SimStats()
-        self.trace: Trace | None = Trace(trace_maxlen) if trace else None
         if profile:
             from repro.profiling.spans import Profile
             self.profile: Any = Profile()
@@ -392,7 +385,6 @@ class Engine:
             finish_times=finish_times,
             values=[p.result for p in self.procs],
             stats=self.stats,
-            trace=self.trace,
             failed_ranks=tuple(sorted(self.failed_ranks)),
             profile=self.profile,
             failures=self.failure_events(),
@@ -430,12 +422,10 @@ class Engine:
             raise SimStateError("block() requires a fresh waiter; "
                                 "use make_waiter() first")
         proc.state = ProcState.BLOCKED
-        self._trace(proc, "block", reason=reason)
         self._switch_from(proc)
         # We only get here after wake() marked the waiter woken and the
         # scheduler picked us again.
         proc.waiter = None
-        self._trace(proc, "unblock", reason=reason)
         return waiter
 
     def make_waiter(self, proc: Proc, reason: str) -> Waiter:
@@ -523,8 +513,6 @@ class Engine:
                 if self.profile is not None:
                     self.profile.add(cur.rank, "detect", cur.now,
                                      cur.now + deadline, peer=peer)
-                self.trace_event("recovery.detect", peer=peer,
-                                 deadline=deadline)
                 cur.now += deadline
             self.stats.failures_detected += 1
             self.stats.recovery_wall_s += deadline
@@ -543,10 +531,10 @@ class Engine:
             desc = f"  rank {p.rank}: {p.state.value} t={p.now:.9f}"
             if p.state is ProcState.BLOCKED and p.waiter is not None:
                 desc += f", waiting on {p.waiter.reason}"
-            if self.trace is not None:
-                events = self.trace.by_rank(p.rank)
-                if events:
-                    desc += f", last event: {events[-1]}"
+            if self.profile is not None:
+                spans = self.profile.by_rank(p.rank)
+                if spans:
+                    desc += f", last span: {spans[-1]}"
             lines.append(desc)
         return "\n".join(lines)
 
@@ -563,16 +551,6 @@ class Engine:
                 "scheduling events (virtual-stall watchdog): the run is "
                 "spinning without any clock advancing",
                 report=self.progress_report())
-
-    def _trace(self, proc: Proc, kind: str, **fields: Any) -> None:
-        if self.trace is not None:
-            self.trace.record(proc.now, proc.rank, kind, **fields)
-
-    def trace_event(self, kind: str, **fields: Any) -> None:
-        """Record a trace event attributed to the current rank."""
-        if self.trace is not None and self._current is not None:
-            self.trace.record(self._current.now, self._current.rank,
-                              kind, **fields)
 
     # ------------------------------------------------------------------
     # Ready-queue maintenance
@@ -611,7 +589,6 @@ class Engine:
                 return proc
             if action[0] == "stall":
                 duration = action[1]
-                self._trace(proc, "fault_stall", duration=duration)
                 if self.profile is not None:
                     self.profile.add(proc.rank, "stall", proc.now,
                                      proc.now + duration, cause="fault")
@@ -635,7 +612,6 @@ class Engine:
         self.failed_ranks.add(proc.rank)
         self.crash_times[proc.rank] = proc.now
         self.stats.count_fault("crash")
-        self._trace(proc, "fault_crash")
         if self.profile is not None:
             self.profile.instant(proc.rank, "crash", proc.now,
                                  cause="fault")

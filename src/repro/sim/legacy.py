@@ -12,8 +12,8 @@ It exists for two jobs:
   both engines and records the wall-clock speedup of the heap/handoff
   scheduler;
 * determinism regression tests assert that both engines produce
-  identical virtual-time results (traces, finish times, makespans) —
-  the heap refactor is a pure performance change.
+  identical virtual-time results (span streams, finish times,
+  makespans) — the heap refactor is a pure performance change.
 
 Do not use it for anything else; it shares the public API of
 :class:`~repro.sim.engine.Engine` but is deliberately frozen at the

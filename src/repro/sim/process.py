@@ -17,7 +17,7 @@ where other ranks may legitimately need to run first.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.errors import SimStateError
 
@@ -77,8 +77,6 @@ class Env:
         if seconds > 0:
             self._engine.note_progress()
         self._engine.stats.compute_seconds += seconds
-        if label is not None:
-            self._engine.trace_event("compute", seconds=seconds, label=label)
         self._engine.yield_(self._proc)
 
     def advance(self, seconds: float) -> None:
@@ -119,13 +117,6 @@ class Env:
         """
         self._check_current()
         return self._engine.block(self._proc, reason)
-
-    # ------------------------------------------------------------------
-    # Introspection
-
-    def trace(self, kind: str, **fields: Any) -> None:
-        """Emit a trace event attributed to this rank at its clock."""
-        self._engine.trace_event(kind, **fields)
 
     def _check_current(self) -> None:
         if self._engine._current is not self._proc:

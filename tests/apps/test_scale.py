@@ -27,13 +27,11 @@ class TestScale:
         for m in (2, 4):
             res = run_app(AppConfig(
                 n_lsms=m, group_size=8, t=16, tc=2, wl_steps=2,
-                variant="directive", model=gemini_model(), trace=True))
-            dir_msgs = sum(
-                1 for e in res.trace
-                if e.kind == "mpi.send_post" and e.fields.get("tag", -1)
-                is not None and e.fields.get("nbytes") == 24)
-            counts[m] = dir_msgs
+                variant="directive", model=gemini_model(), profile=True))
+            counts[m] = sum(1 for s in res.profile.of_kind("message")
+                            if s.attrs["nbytes"] == 24)
         assert counts[4] == 2 * counts[2]
+        assert counts == {m: 2 * m * (8 - 1) for m in (2, 4)}
 
     def test_timing_deterministic_at_scale(self):
         cfg = AppConfig(n_lsms=4, group_size=16, t=32, tc=4, wl_steps=1,

@@ -16,9 +16,9 @@ from repro.netmodel import uniform_model, zero_model
 from repro.sim import Engine
 
 
-def run(nprocs, fn, *, model=None, trace=False):
+def run(nprocs, fn, *, model=None, profile=False):
     model = model or zero_model()
-    eng = Engine(nprocs, trace=trace)
+    eng = Engine(nprocs, profile=profile)
 
     def main(env):
         mpi.init(env, model)      # fix the machine model for all targets
@@ -329,10 +329,10 @@ class TestTargets:
                           target="TARGET_COMM_SHMEM"):
                 pass
 
-        _, eng = run(2, prog, trace=True)
-        puts = eng.trace.of_kind("shmem.put")
+        _, eng = run(2, prog, profile=True)
+        puts = eng.profile.of_kind("message")
         assert len(puts) == 1
-        assert puts[0].fields["call"] == "shmem_double_put"
+        assert puts[0].attrs["call"] == "shmem_double_put"
 
 
 class TestOverlap:
@@ -393,9 +393,32 @@ class TestDependentInstances:
                     pass
             return dst[0]
 
-        res, eng = run(2, prog, trace=True)
+        res, eng = run(2, prog, profile=True)
         assert res.values[1] == 2.0
-        assert len(eng.trace.of_kind("dir.dependent_flush")) >= 1
+        # The aliasing instance flushed the pending one: rank 1 syncs
+        # twice where two independent instances would share one sync.
+        syncs = [s for s in eng.profile.of_kind("sync") if s.rank == 1]
+        assert len(syncs) == 2
+
+    def test_independent_buffers_share_one_sync(self):
+        """Control for the flush above: distinct rbufs consolidate."""
+        def prog(env):
+            a = np.array([1.0]) if env.rank == 0 else np.zeros(1)
+            b = np.array([2.0]) if env.rank == 0 else np.zeros(1)
+            dst1, dst2 = np.zeros(1), np.zeros(1)
+            with comm_parameters(env, sender=0, receiver=1,
+                                 sendwhen=env.rank == 0,
+                                 receivewhen=env.rank == 1):
+                with comm_p2p(env, sbuf=a, rbuf=dst1):
+                    pass
+                with comm_p2p(env, sbuf=b, rbuf=dst2):
+                    pass
+            return (dst1[0], dst2[0])
+
+        res, eng = run(2, prog, profile=True)
+        assert res.values[1] == (1.0, 2.0)
+        syncs = [s for s in eng.profile.of_kind("sync") if s.rank == 1]
+        assert len(syncs) == 1
 
 
 class TestSyncPlacement:
@@ -440,12 +463,12 @@ class TestSyncPlacement:
             comm_flush(env)
             return [d[0] for d in dsts]
 
-        res, eng = run(2, prog, trace=True)
+        res, eng = run(2, prog, profile=True)
         assert res.values[1] == [0.0, 1.0, 2.0]
-        # The three regions consolidated into a single sync event per
+        # The three regions consolidated into a single sync span per
         # participating rank.
-        syncs = eng.trace.of_kind("dir.sync")
-        assert len(syncs) == 2  # one per rank
+        syncs = eng.profile.of_kind("sync")
+        assert sorted(s.rank for s in syncs) == [0, 1]
 
     def test_end_adj_chain_broken_by_normal_region(self):
         def prog(env):

@@ -64,6 +64,27 @@ class TestVirtualStall:
             eng.run(main)
         assert ei.value.report  # carries the per-rank progress report
 
+    def test_report_names_each_ranks_last_span(self):
+        """Under profiling the report ends each rank's line with the
+        last span that rank recorded before the hang."""
+        def main(env):
+            env.compute(1e-6 * (env.rank + 1), label=f"setup{env.rank}")
+            while True:
+                env.yield_()
+
+        eng = Engine(2, profile=True,
+                     watchdog=Watchdog(wall_timeout=None, stall_events=200))
+        with pytest.raises(SimHangError) as ei:
+            eng.run(main)
+        lines = ei.value.report.splitlines()
+        assert len(lines) == 2
+        for rank, line in enumerate(lines):
+            (last,) = eng.profile.by_rank(rank)
+            assert last.kind == "compute"
+            assert last.attrs["label"] == f"setup{rank}"
+            assert line.startswith(f"  rank {rank}: ")
+            assert line.endswith(f", last span: {last}")
+
     def test_progress_resets_the_stall_counter(self):
         """Long but *productive* polling loops stay under the limit:
         compute() in between resets the no-progress count."""

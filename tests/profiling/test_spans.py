@@ -53,6 +53,22 @@ class TestProfileRecorder:
         assert len(p.by_rank(1)) == 1
         assert "sync" in p.render(limit=1) or "compute" in p.render(limit=1)
 
+    def test_span_str(self):
+        p = Profile()
+        p.add(3, "message", 1.5e-6, 2.5e-6, src=1, dst=3)
+        p.begin(0, "window", 0.0)
+        closed, open_ = (str(s) for s in p)
+        assert closed == ("[0.000001500..0.000002500] rank 3: message "
+                          "dst=3 src=1")
+        assert open_ == "[0.000000000..open] rank 0: window"
+
+    def test_render_limits(self):
+        p = Profile()
+        for i in range(10):
+            p.instant(0, "crash", float(i))
+        assert "7 more spans" in p.render(limit=3)
+        assert len(p.render().splitlines()) == 10
+
 
 class TestEngineWiring:
     def test_off_by_default(self):

@@ -1,12 +1,14 @@
 """Scheduler-equivalence regression: heap engine vs the seed engine.
 
 The heap ready queue and direct baton handoff must not change *any*
-observable of a run — dispatch order, traces, virtual completion
+observable of a run — dispatch order, span streams, virtual completion
 times — only host wall-clock. These tests pin that equivalence on a
 message-heavy synthetic workload and on the paper's WL-LSMS
 application (quick mode), so a future scheduler change that perturbs
 the deterministic ``(virtual time, rank)`` order fails loudly.
 """
+
+import heapq
 
 import numpy as np
 import pytest
@@ -15,8 +17,44 @@ from repro import mpi
 from repro.apps.wllsms import AppConfig, run_app
 from repro.netmodel import gemini_model
 from repro.sim import Engine, SeedEngine
+from repro.sim.engine import ProcState
 
 _MODEL = gemini_model()
+
+
+class _ReverseTieEngine(Engine):
+    """Negative control: breaks ``(time, rank)`` ties in reverse rank
+    order (the heap holds ``(time, -rank)``); otherwise the same
+    scheduler."""
+
+    def _make_ready(self, proc):
+        proc.state = ProcState.READY
+        heapq.heappush(self._ready_heap, (proc.now, -proc.rank))
+
+    def _pop_next_ready(self):
+        heap = self._ready_heap
+        while heap:
+            now, neg_rank = heapq.heappop(heap)
+            proc = self.procs[-neg_rank]
+            if proc.state is ProcState.READY and proc.now == now:
+                return proc
+        return None
+
+    def _ready_before(self, proc):
+        heap = self._ready_heap
+        while heap:
+            now, neg_rank = heap[0]
+            p = self.procs[-neg_rank]
+            if p.state is ProcState.READY and p.now == now:
+                return (now, neg_rank) < (proc.now, -proc.rank)
+            heapq.heappop(heap)
+        return False
+
+
+def _span_stream(engine_cls, nprocs=8):
+    """The ordered ``(rank, kind, t0, t1, attrs)`` spans of one ring run."""
+    res = engine_cls(nprocs, profile=True).run(_ring_main)
+    return [(s.rank, s.kind, s.t0, s.t1, s.attrs) for s in res.profile]
 
 
 def _ring_main(env):
@@ -41,15 +79,21 @@ class TestRingEquivalence:
         assert new.makespan == old.makespan
 
     def test_traces_identical(self):
-        """Event-by-event: same kinds, ranks and times in the same
-        order — the dispatch sequence itself is unchanged."""
-        new_eng = Engine(8, trace=True)
-        old_eng = SeedEngine(8, trace=True)
-        new_eng.run(_ring_main)
-        old_eng.run(_ring_main)
-        new_ev = [(e.time, e.rank, e.kind) for e in new_eng.trace]
-        old_ev = [(e.time, e.rank, e.kind) for e in old_eng.trace]
-        assert new_ev == old_ev
+        """Span-by-span: same ranks, kinds, intervals and attributes in
+        the same recording order — the dispatch sequence itself is
+        unchanged."""
+        new = _span_stream(Engine)
+        assert new
+        assert new == _span_stream(SeedEngine)
+
+    def test_span_stream_sees_tie_order(self):
+        """The comparison above is sensitive to dispatch order: the
+        same ring under reverse-rank tie breaking records the same
+        spans in a different order."""
+        new = _span_stream(Engine)
+        reversed_ties = _span_stream(_ReverseTieEngine)
+        assert sorted(map(repr, new)) == sorted(map(repr, reversed_ties))
+        assert new != reversed_ties
 
 
 class TestWlLsmsEquivalence:

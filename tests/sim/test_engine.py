@@ -288,16 +288,24 @@ def test_max_time_guard():
 
 
 def test_trace_records_compute_events():
-    eng = Engine(2, trace=True)
+    eng = Engine(2, profile=True)
 
     def prog(env):
         env.compute(1.0, label="kernel")
 
-    eng.run(prog)
-    events = eng.trace.of_kind("compute")
-    assert len(events) == 2
-    assert {e.rank for e in events} == {0, 1}
-    assert all(e.fields["label"] == "kernel" for e in events)
+    res = eng.run(prog)
+    spans = res.profile.of_kind("compute")
+    assert len(spans) == 2
+    assert {s.rank for s in spans} == {0, 1}
+    assert all(s.attrs["label"] == "kernel" for s in spans)
+
+
+def test_stats_summary_readable():
+    eng = Engine(2)
+    eng.run(lambda env: env.compute(1.0))
+    s = eng.stats.summary()
+    assert "compute=2" in s
+    assert "messages=0" in s
 
 
 def test_stats_accumulate_compute_seconds():
