@@ -22,7 +22,7 @@ inference and analyses (:mod:`repro.core.analysis`), and lowering to
 executable communication plans (:mod:`repro.core.lower`).
 """
 
-from repro.core.clauses import ClauseSet, SyncPlacement, Target
+from repro.core.clauses import SyncPlacement, Target
 from repro.core.directives import (
     CommP2P,
     CommParameters,
@@ -33,7 +33,6 @@ from repro.core.directives import (
 from repro.core.collectives_ext import CollectivePattern, comm_collective
 
 __all__ = [
-    "ClauseSet",
     "SyncPlacement",
     "Target",
     "CommP2P",

@@ -15,29 +15,36 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.clauses import ClauseSet, Target
+from repro.core.clauses import Target
 from repro.errors import ClauseError, SymmetryError
 from repro.shmem.symheap import SymArray
 
 
-def as_buffer_list(value: Any, clause: str) -> list:
-    """Normalize a clause value to a non-empty list of buffers."""
-    if isinstance(value, (np.ndarray, SymArray)):
-        items = [value]
-    elif isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
+def _buffers(value: Any, clause: str
+             ) -> tuple[list | tuple, list[np.ndarray]]:
+    """A clause value as a non-empty buffer sequence and its local
+    arrays."""
+    if isinstance(value, np.ndarray):
+        return [value], [value]
+    if isinstance(value, SymArray):
+        return [value], [value.data]
+    if not isinstance(value, (list, tuple)):
         raise ClauseError(
             f"{clause} must be a buffer or a list of buffers; "
             f"got {type(value).__name__}")
-    if not items:
+    if not value:
         raise ClauseError(f"{clause} must list at least one buffer")
-    for b in items:
-        if not isinstance(b, (np.ndarray, SymArray)):
+    arrays = []
+    for b in value:
+        if isinstance(b, np.ndarray):
+            arrays.append(b)
+        elif isinstance(b, SymArray):
+            arrays.append(b.data)
+        else:
             raise ClauseError(
                 f"{clause} entries must be numpy arrays (or symmetric "
                 f"arrays for the SHMEM target); got {type(b).__name__}")
-    return items
+    return value, arrays
 
 
 def array_of(buf: np.ndarray | SymArray) -> np.ndarray:
@@ -45,38 +52,22 @@ def array_of(buf: np.ndarray | SymArray) -> np.ndarray:
     return buf.data if isinstance(buf, SymArray) else buf
 
 
-def element_size(buf: np.ndarray | SymArray) -> int:
-    """Element storage size (bytes) of a buffer."""
-    return array_of(buf).dtype.itemsize
+def resolve(target: Target, sbuf: Any, rbuf: Any, count: int | None
+            ) -> tuple[Any, Any, list[np.ndarray], list[np.ndarray], int]:
+    """Check a directive's buffer clauses in one pass over their arrays.
 
-
-def length_of(buf: np.ndarray | SymArray) -> int:
-    """Element count of a buffer."""
-    return array_of(buf).size
-
-
-def infer_count(clauses: ClauseSet, sbufs: list, rbufs: list) -> int:
-    """The directive's per-buffer element count.
-
-    If ``count`` is present, use it. Otherwise at least one buffer must
-    be an array (size > 1 or explicitly shaped); the inferred size is
-    the *smallest* array length among all listed buffers
-    (Section III-B: "If more than one of the buffers is an array, the
-    message size will be the size of the smallest array").
+    Normalises ``sbuf``/``rbuf`` to buffer sequences, enforces the
+    per-target allocation rule and the positional pairing (same list
+    length, same element size), and returns ``(sbufs, rbufs, sarrays,
+    rarrays, count)``. With ``count`` omitted (``None``) at least one
+    buffer must be an array (size > 1 or explicitly shaped); the
+    inferred size is the *smallest* array length among all listed
+    buffers (Section III-B: "If more than one of the buffers is an
+    array, the message size will be the size of the smallest array").
+    A transfer of ``count`` elements must fit every buffer it touches.
     """
-    if clauses.has("count"):
-        return clauses.count
-    lengths = [length_of(b) for b in sbufs + rbufs]
-    arrays = [n for n in lengths if n >= 1]
-    if not arrays:
-        raise ClauseError(
-            "count was omitted but no buffer in sbuf/rbuf is an array; "
-            "provide count explicitly")
-    return min(arrays)
-
-
-def check_target_buffers(target: Target, sbufs: list, rbufs: list) -> None:
-    """Enforce per-target allocation requirements on buffer lists."""
+    sbufs, sarrays = _buffers(sbuf, "sbuf")
+    rbufs, rarrays = _buffers(rbuf, "rbuf")
     if target is Target.SHMEM:
         bad = [i for i, b in enumerate(rbufs) if not isinstance(b, SymArray)]
         if bad:
@@ -89,19 +80,23 @@ def check_target_buffers(target: Target, sbufs: list, rbufs: list) -> None:
             f"sbuf and rbuf must list the same number of buffers "
             f"(payloads pair up positionally); got {len(sbufs)} vs "
             f"{len(rbufs)}")
-    for i, (s, r) in enumerate(zip(sbufs, rbufs)):
-        if element_size(s) != element_size(r):
+    for i, (s, r) in enumerate(zip(sarrays, rarrays)):
+        if s.dtype.itemsize != r.dtype.itemsize:
             raise ClauseError(
                 f"buffer pair {i}: element sizes differ "
-                f"({element_size(s)} vs {element_size(r)} bytes); "
+                f"({s.dtype.itemsize} vs {r.dtype.itemsize} bytes); "
                 "the generated transfer would reinterpret elements")
-
-
-def check_count_fits(count: int, sbufs: list, rbufs: list) -> None:
-    """A transfer of ``count`` elements must fit every buffer it touches."""
-    for name, bufs in (("sbuf", sbufs), ("rbuf", rbufs)):
-        for i, b in enumerate(bufs):
-            if count > length_of(b):
+    if count is None:
+        sizes = [a.size for a in (*sarrays, *rarrays) if a.size >= 1]
+        if not sizes:
+            raise ClauseError(
+                "count was omitted but no buffer in sbuf/rbuf is an "
+                "array; provide count explicitly")
+        count = min(sizes)
+    for name, arrays in (("sbuf", sarrays), ("rbuf", rarrays)):
+        for i, a in enumerate(arrays):
+            if count > a.size:
                 raise ClauseError(
                     f"count {count} exceeds {name}[{i}] "
-                    f"({length_of(b)} elements)")
+                    f"({a.size} elements)")
+    return sbufs, rbufs, sarrays, rarrays, count

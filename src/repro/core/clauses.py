@@ -15,13 +15,20 @@ paper's:
   array — the inferred message size is the *smallest* array length;
 * a ``comm_parameters`` region's clauses apply to every ``comm_p2p``
   inside it, with instance clauses overriding.
+
+The checks split by what they depend on. :func:`check_names` and
+:func:`p2p_plan` read only clause *names*, so they are memoised and a
+directive site resolves them once, as the paper's compiler does at
+translation time. :func:`normalize` and the buffer checks of
+:mod:`repro.core.buffers` read the evaluated values and run on every
+execution.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from functools import lru_cache
+from typing import Any, Mapping, TypeVar
 
 from repro.errors import ClauseError
 
@@ -72,8 +79,10 @@ class SyncPlacement(enum.Enum):
                 f"{[p.value for p in cls]}; got {value!r}") from None
 
 
-#: Sentinel distinguishing "clause absent" from explicit ``None``.
-_ABSENT = object()
+#: Every clause name of the two directives.
+CLAUSES = frozenset(("sender", "receiver", "sbuf", "rbuf", "sendwhen",
+                     "receivewhen", "target", "count", "place_sync",
+                     "max_comm_iter"))
 
 #: Clause names legal only on ``comm_parameters``.
 PARAMETERS_ONLY = ("place_sync", "max_comm_iter")
@@ -81,140 +90,115 @@ PARAMETERS_ONLY = ("place_sync", "max_comm_iter")
 #: The four required clauses of a fully resolved ``comm_p2p`` instance.
 REQUIRED = ("sender", "receiver", "sbuf", "rbuf")
 
+V = TypeVar("V")
 
-@dataclass(frozen=True)
-class ClauseSet:
-    """One directive's clauses (values already evaluated on this rank).
+
+def override(region: Mapping[str, V],
+             instance: Mapping[str, V]) -> dict[str, V]:
+    """Apply a region's clauses to a ``comm_p2p`` instance.
+
+    Region assertions apply to all instances in scope; the instance
+    "may provide additional assertions" which override
+    (Section III-A). The region-only clauses never merge down. The
+    runtime plan applies this rule to clause names, the static IR to
+    clause expressions.
+    """
+    merged = {k: v for k, v in region.items() if k not in PARAMETERS_ONLY}
+    merged.update(instance)
+    return merged
+
+
+@lru_cache(maxsize=None)
+def check_names(directive: str, names: frozenset[str]) -> None:
+    """Validate the clause names given to a ``comm_parameters``
+    (``directive = "parameters"``) or ``comm_p2p`` (``"p2p"``)
+    directive. Only successful checks are cached: a failing name set
+    raises again, with the same message, on every call."""
+    unknown = names - CLAUSES
+    if unknown:
+        raise ClauseError(
+            f"unknown clause(s) {sorted(unknown)}; the directives "
+            f"accept {sorted(CLAUSES)}")
+    if directive == "p2p":
+        illegal = [n for n in PARAMETERS_ONLY if n in names]
+        if illegal:
+            raise ClauseError(
+                f"clause(s) {illegal} may only be used with "
+                "comm_parameters (Section III-B)")
+    elif directive != "parameters":
+        raise ClauseError(f"unknown directive kind {directive!r}")
+    if ("sendwhen" in names) != ("receivewhen" in names):
+        raise ClauseError(
+            "sendwhen and receivewhen must both be present or both "
+            "be omitted (Section III-B)")
+
+
+def normalize(clauses: dict[str, Any]) -> dict[str, Any]:
+    """Check and normalise the values of name-checked clauses in place.
 
     In the paper the clause arguments are C expressions evaluated per
     process (``sender(rank-1)``); in the runtime DSL the caller passes
-    the evaluated values. ``sbuf``/``rbuf`` are buffer *lists* (a single
-    buffer may be passed bare). ``sender``/``receiver`` are world ranks.
+    the evaluated values. Keyword clauses become their enum members;
+    ``count`` and ``max_comm_iter`` must be integers in range. An
+    explicit ``None`` is a given clause (and so fails these checks).
     """
-
-    sender: Any = _ABSENT
-    receiver: Any = _ABSENT
-    sbuf: Any = _ABSENT
-    rbuf: Any = _ABSENT
-    sendwhen: Any = _ABSENT
-    receivewhen: Any = _ABSENT
-    target: Any = _ABSENT
-    count: Any = _ABSENT
-    place_sync: Any = _ABSENT
-    max_comm_iter: Any = _ABSENT
-
-    # -- presence ---------------------------------------------------------
-
-    def has(self, name: str) -> bool:
-        """True when the clause was given (explicit None counts)."""
-        return getattr(self, name) is not _ABSENT
-
-    def present(self) -> dict[str, Any]:
-        """Clauses that were given, as a dict."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if getattr(self, f.name) is not _ABSENT}
-
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def build(cls, *, directive: str, **kwargs: Any) -> "ClauseSet":
-        """Validate keyword clauses for a ``comm_parameters`` (``directive
-        = "parameters"``) or ``comm_p2p`` (``"p2p"``) directive."""
-        legal = {f.name for f in fields(cls)}
-        unknown = set(kwargs) - legal
-        if unknown:
+    if "target" in clauses:
+        clauses["target"] = Target.parse(clauses["target"])
+    if "place_sync" in clauses:
+        clauses["place_sync"] = SyncPlacement.parse(clauses["place_sync"])
+    if "count" in clauses:
+        count = clauses["count"]
+        if not isinstance(count, int) or isinstance(count, bool) \
+                or count < 0:
             raise ClauseError(
-                f"unknown clause(s) {sorted(unknown)}; the directives "
-                f"accept {sorted(legal)}")
-        if directive == "p2p":
-            illegal = [n for n in PARAMETERS_ONLY if n in kwargs]
-            if illegal:
-                raise ClauseError(
-                    f"clause(s) {illegal} may only be used with "
-                    "comm_parameters (Section III-B)")
-        elif directive != "parameters":
-            raise ClauseError(f"unknown directive kind {directive!r}")
-        cs = cls(**kwargs)
-        cs._check_pairing()
-        cs._normalize_keywords()
-        return cs
-
-    def _check_pairing(self) -> None:
-        if self.has("sendwhen") != self.has("receivewhen"):
+                f"count must evaluate to a non-negative integer, "
+                f"got {count!r}")
+    if "max_comm_iter" in clauses:
+        m = clauses["max_comm_iter"]
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ClauseError(
-                "sendwhen and receivewhen must both be present or both "
-                "be omitted (Section III-B)")
+                f"max_comm_iter must evaluate to a positive integer, "
+                f"got {m!r}")
+    return clauses
 
-    def _normalize_keywords(self) -> None:
-        # frozen dataclass: use object.__setattr__ for normalization.
-        if self.has("target"):
-            object.__setattr__(self, "target", Target.parse(self.target))
-        if self.has("place_sync"):
-            object.__setattr__(self, "place_sync",
-                               SyncPlacement.parse(self.place_sync))
-        if self.has("count"):
-            count = self.count
-            if not isinstance(count, int) or isinstance(count, bool) \
-                    or count < 0:
-                raise ClauseError(
-                    f"count must evaluate to a non-negative integer, "
-                    f"got {count!r}")
-        if self.has("max_comm_iter"):
-            m = self.max_comm_iter
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise ClauseError(
-                    f"max_comm_iter must evaluate to a positive integer, "
-                    f"got {m!r}")
 
-    # -- region/instance merging ------------------------------------------
+@lru_cache(maxsize=None)
+def p2p_plan(instance: frozenset[str],
+             region: frozenset[str]) -> tuple[str, ...]:
+    """Resolve a ``comm_p2p`` instance's clause names against its
+    enclosing region's (empty for a standalone instance).
 
-    def merged_into(self, instance: "ClauseSet") -> "ClauseSet":
-        """Apply this region's clauses to a ``comm_p2p`` instance.
+    Returns the clause names the instance inherits from the region;
+    every other merged clause is read from the instance itself. Raises
+    (and caches nothing) when a required clause is given by neither.
+    Both name sets are paired in ``sendwhen``/``receivewhen`` by
+    :func:`check_names`, so the merged set is paired too.
+    """
+    sources = override(dict.fromkeys(region, False),
+                       dict.fromkeys(instance, True))
+    missing = [n for n in REQUIRED if n not in sources]
+    if missing:
+        raise ClauseError(
+            f"comm_p2p is missing required clause(s) {missing} "
+            "(not provided by the directive or its enclosing "
+            "comm_parameters region)")
+    return tuple(n for n, own in sources.items() if not own)
 
-        Region assertions apply to all instances in scope; the instance
-        "may provide additional assertions" which override
-        (Section III-A).
-        """
-        updates = {}
-        for f in fields(self):
-            if f.name in PARAMETERS_ONLY:
-                continue  # region-level only; never merged down
-            if instance.has(f.name):
-                updates[f.name] = getattr(instance, f.name)
-            elif self.has(f.name):
-                updates[f.name] = getattr(self, f.name)
-        merged = ClauseSet(**updates)
-        merged._check_pairing()
-        return merged
 
-    # -- final validation of a resolvable p2p instance --------------------
+def merged_view(names: frozenset[str], clauses: dict[str, Any],
+                region_names: frozenset[str] = frozenset(),
+                region_clauses: Mapping[str, Any] | None = None
+                ) -> dict[str, Any]:
+    """The clauses a ``comm_p2p`` instance resolves to in its region.
 
-    def require_p2p_complete(self) -> None:
-        """Check the four required clauses of a resolved instance."""
-        missing = [n for n in REQUIRED if not self.has(n)]
-        if missing:
-            raise ClauseError(
-                f"comm_p2p is missing required clause(s) {missing} "
-                "(not provided by the directive or its enclosing "
-                "comm_parameters region)")
-
-    # -- convenience accessors with defaults -------------------------------
-
-    @property
-    def effective_target(self) -> Target:
-        """The target clause, defaulted per Section III-B."""
-        return self.target if self.has("target") else DEFAULT_TARGET
-
-    @property
-    def effective_sendwhen(self) -> bool:
-        """Absent sendwhen: all processes reaching the directive send."""
-        return bool(self.sendwhen) if self.has("sendwhen") else True
-
-    @property
-    def effective_receivewhen(self) -> bool:
-        """Absent receivewhen: all processes reaching it receive."""
-        return bool(self.receivewhen) if self.has("receivewhen") else True
-
-    def with_clauses(self, **kwargs: Any) -> "ClauseSet":
-        """A copy with additional/overridden clauses (for tooling)."""
-        return replace(self, **kwargs)
+    ``names``/``clauses`` are the instance's checked clauses,
+    ``region_names``/``region_clauses`` the enclosing region's (none
+    for a standalone instance). Only the values are read here; which
+    name comes from where is the memoised :func:`p2p_plan`.
+    """
+    inherited = p2p_plan(names, region_names)
+    if not inherited:
+        return clauses
+    merged = {n: region_clauses[n] for n in inherited}
+    merged.update(clauses)
+    return merged

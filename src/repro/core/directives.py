@@ -31,6 +31,11 @@ Semantics implemented from Sections III-A/III-B:
   sync placed per ``place_sync``; an instance whose buffers overlap
   pending communication forces the pending sync first;
 * a standalone ``comm_p2p`` synchronizes at its own exit.
+
+Each directive resolves its clause *names* through the memoised plan of
+:mod:`repro.core.clauses` (legality, required clauses, which merged
+clause comes from the region); each execution then evaluates only the
+clause values.
 """
 
 from __future__ import annotations
@@ -38,7 +43,13 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core import buffers as bufmod
-from repro.core.clauses import ClauseSet, SyncPlacement
+from repro.core.clauses import (
+    DEFAULT_TARGET,
+    SyncPlacement,
+    check_names,
+    merged_view,
+    normalize,
+)
 from repro.core.lower.base import get_backend
 from repro.core.region import PendingComm, RegionState
 from repro.errors import ClauseError, DirectiveError
@@ -50,7 +61,9 @@ class CommParameters:
 
     def __init__(self, env: Env, **clauses: Any):
         self.env = env
-        self.clauses = ClauseSet.build(directive="parameters", **clauses)
+        self.names = frozenset(clauses)
+        check_names("parameters", self.names)
+        self.clauses = normalize(clauses)
         self.pending = PendingComm()
         self._state: RegionState | None = None
         #: comm_p2p executions inside this region entry, checked against
@@ -60,20 +73,19 @@ class CommParameters:
     def note_instance(self) -> None:
         """Count one comm_p2p execution against max_comm_iter."""
         self.instance_count += 1
-        if self.clauses.has("max_comm_iter") \
-                and self.instance_count > self.clauses.max_comm_iter:
+        limit = self.clauses.get("max_comm_iter")
+        if limit is not None and self.instance_count > limit:
             raise ClauseError(
                 f"comm_p2p executed {self.instance_count} times in a "
-                f"region declaring max_comm_iter"
-                f"({self.clauses.max_comm_iter}); the generated "
+                f"region declaring max_comm_iter({limit}); the generated "
                 "synchronization bookkeeping would overflow "
                 "(Section III-B)")
 
     @property
     def place_sync(self) -> SyncPlacement:
         """The region's sync placement (defaulted)."""
-        return (self.clauses.place_sync if self.clauses.has("place_sync")
-                else SyncPlacement.END_PARAM_REGION)
+        return self.clauses.get("place_sync",
+                                SyncPlacement.END_PARAM_REGION)
 
     def __enter__(self) -> "CommParameters":
         self._state = RegionState.of(self.env)
@@ -101,44 +113,37 @@ class CommP2P:
 
     def __init__(self, env: Env, **clauses: Any):
         self.env = env
-        self.own_clauses = ClauseSet.build(directive="p2p", **clauses)
-        self.region: CommParameters | None = None
+        self.names = frozenset(clauses)
+        check_names("p2p", self.names)
+        self.clauses = normalize(clauses)
         self._standalone_pending: PendingComm | None = None
-
-    # -- resolution ---------------------------------------------------------
-
-    def _resolve(self) -> ClauseSet:
-        state = RegionState.of(self.env)
-        self.region = state.stack[-1] if state.stack else None
-        if self.region is not None:
-            merged = self.region.clauses.merged_into(self.own_clauses)
-        else:
-            merged = self.own_clauses
-        merged.require_p2p_complete()
-        return merged
 
     # -- protocol -----------------------------------------------------------
 
     def __enter__(self) -> "CommP2P":
         env = self.env
-        merged = self._resolve()
+        state = RegionState.of(env)
+        region = state.stack[-1] if state.stack else None
+        if region is None:
+            merged = merged_view(self.names, self.clauses)
+        else:
+            merged = merged_view(self.names, self.clauses, region.names,
+                                 region.clauses)
 
-        sends_here = merged.effective_sendwhen
-        recvs_here = merged.effective_receivewhen
-        sbufs = bufmod.as_buffer_list(merged.sbuf, "sbuf")
-        rbufs = bufmod.as_buffer_list(merged.rbuf, "rbuf")
-        target = merged.effective_target
-        bufmod.check_target_buffers(target, sbufs, rbufs)
-        count = bufmod.infer_count(merged, sbufs, rbufs)
-        bufmod.check_count_fits(count, sbufs, rbufs)
+        # Absent when clauses: every process reaching the directive
+        # sends and receives. An explicit None is given, and falsy.
+        sends_here = bool(merged.get("sendwhen", True))
+        recvs_here = bool(merged.get("receivewhen", True))
+        target = merged.get("target", DEFAULT_TARGET)
+        sbufs, rbufs, sarrays, rarrays, count = bufmod.resolve(
+            target, merged["sbuf"], merged["rbuf"], merged.get("count"))
 
         backend = get_backend(env, target)
-        if self.region is not None:
-            self.region.note_instance()
-        pending = (self.region.pending if self.region is not None
-                   else PendingComm())
-        if self.region is None:
-            self._standalone_pending = pending
+        if region is not None:
+            region.note_instance()
+            pending = region.pending
+        else:
+            pending = self._standalone_pending = PendingComm()
 
         # Adjacent-directive independence (Section III-A): an instance
         # whose buffers overlap pending communication cannot share its
@@ -146,18 +151,14 @@ class CommP2P:
         # Only the buffers of roles this rank actually plays are live
         # here: a pure sender's rbuf (or vice versa) is untouched by
         # its communication.
-        local_arrays = []
-        if sends_here:
-            local_arrays.extend(bufmod.array_of(b) for b in sbufs)
-        if recvs_here:
-            local_arrays.extend(bufmod.array_of(b) for b in rbufs)
+        local_arrays = ((sarrays if sends_here else [])
+                        + (rarrays if recvs_here else []))
         # All unsynchronized communication on this rank is pending, not
         # just the innermost region's: carried sync from earlier
         # regions (place_sync deferral) and enclosing regions of a
         # nested chain hold live handles too. The downgrade CI020
         # promises must flush every aliasing set, or the deferred
         # delivery races with this directive's transfer.
-        state = RegionState.of(env)
         if state.carried.overlaps(local_arrays):
             state.flush_carry(env)
         for enclosing in state.stack:
@@ -174,13 +175,11 @@ class CommP2P:
         # Receives are declared before sends so self-transfers and
         # one-sided exposure always find the destination ready.
         if recvs_here:
-            if not merged.has("sender"):  # pragma: no cover - required
-                raise ClauseError("receivewhen without sender")
-            src = self._check_rank(merged.sender, "sender")
+            src = self._check_rank(merged["sender"], "sender")
             for rb in rbufs:
                 my_recvs.append(backend.post_recv(src, rb, count))
         if sends_here:
-            dst = self._check_rank(merged.receiver, "receiver")
+            dst = self._check_rank(merged["receiver"], "receiver")
             for sb, rb in zip(sbufs, rbufs):
                 my_sends.append(backend.post_send(dst, sb, rb, count))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.clauses import SyncPlacement, Target
+from repro.core.clauses import SyncPlacement, Target, override
 from repro.dtypes.composite import CompositeType
 from repro.dtypes.primitives import PrimitiveType
 from repro.errors import ClauseError
@@ -71,9 +71,7 @@ class ClauseExprs:
     def merged_into(self, inner: "ClauseExprs") -> "ClauseExprs":
         """Region clauses apply to instances; instance overrides."""
         out = ClauseExprs()
-        out.exprs = {k: v for k, v in self.exprs.items()
-                     if k not in ("place_sync", "max_comm_iter")}
-        out.exprs.update(inner.exprs)
+        out.exprs = override(self.exprs, inner.exprs)
         out.sbuf = list(inner.sbuf or self.sbuf)
         out.rbuf = list(inner.rbuf or self.rbuf)
         out.target = inner.target or self.target

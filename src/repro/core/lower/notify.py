@@ -104,7 +104,7 @@ class ExposureService:
             waiter = env.make_waiter(
                 f"RMA exposure of message {seq} by rank {dst}")
             self.exposure_waiters[key] = waiter
-            env.block("dir.mpi1s.exposure")
+            env.block()
             buf = self.exposed[key]
         del self.exposed[key]
         return buf
@@ -155,7 +155,7 @@ class ExposureService:
         waiter = env.make_waiter(
             f"one-sided notify of message {seq} from rank {src}")
         self.notify_waiters[key] = waiter
-        env.block("dir.onesided.notify")
+        env.block()
         del self.notified[(src, dst, seq)]
         self._commit_staged(key)
         return env.now

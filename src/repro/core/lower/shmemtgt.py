@@ -5,8 +5,8 @@ chosen by the buffers' element storage size — the call-name/type
 matching the paper's compiler performs ("data type selection is tightly
 coupled with the communication call, in that the data type is embedded
 in the name of the library call", Section III-A). The receive buffer
-must be a symmetric data object; :func:`repro.core.buffers.
-check_target_buffers` enforced that before lowering.
+must be a symmetric data object; :func:`repro.core.buffers.resolve`
+enforced that before lowering.
 
 Synchronization: the origin's ``shmem_quiet`` completes its outstanding
 puts, followed by one flag notify per message; receivers wait on their

@@ -4,10 +4,11 @@ Section III-A: when a directive's buffer is a composite type, the
 compiler generates MPI calls that create and commit an MPI struct, and
 "this new MPI data type is reused within the function scope for any
 communication directive with buffers of the same type". We key the
-cache on the structured numpy dtype; creation+commit costs are charged
-exactly once per (rank, dtype), reuse is free — and the stats counters
-(``struct_created`` vs ``struct_reused``) make the amortization visible
-to benchmarks.
+cache on (rank, structured numpy dtype); dtype equality covers field
+names, formats, offsets, titles and itemsize. Creation+commit costs
+are charged exactly once per key, reuse is free — and the stats
+counters (``struct_created`` vs ``struct_reused``) make the
+amortization visible to benchmarks.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class TypeCache:
     """Engine-wide cache of committed derived types, per rank."""
 
     def __init__(self) -> None:
-        self._cache: dict[tuple[int, str], Datatype] = {}
+        self._cache: dict[tuple[int, np.dtype], Datatype] = {}
 
     @classmethod
     def attach(cls, engine: Engine) -> "TypeCache":
@@ -83,7 +84,7 @@ class TypeCache:
         First use on a rank creates and commits (charging the model's
         costs); later uses reuse the committed type for free.
         """
-        key = (comm.env.rank, dtype.str + str(dtype.fields))
+        key = (comm.env.rank, dtype)
         dt = self._cache.get(key)
         if dt is not None:
             comm.world.stats.count_datatype("struct_reused")

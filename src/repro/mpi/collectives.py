@@ -44,7 +44,7 @@ def _coll_recv_blocking(comm: Comm, buf: np.ndarray, source: int,
     if op.completion is None:
         op.waiter = comm.env.make_waiter(
             f"collective recv from {source} tag {tag}")
-        comm.env.block("mpi.coll.recv")
+        comm.env.block()
     else:
         comm.env.advance_to(op.completion)
     op.commit()
@@ -56,7 +56,7 @@ def _coll_send_blocking(comm: Comm, buf: np.ndarray, dest: int,
     if op.completion is None:
         op.waiter = comm.env.make_waiter(
             f"collective send to {dest} tag {tag}")
-        comm.env.block("mpi.coll.send")
+        comm.env.block()
     else:
         comm.env.advance_to(op.completion)
 
@@ -294,12 +294,12 @@ def alltoall(comm: Comm, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
         sop = _coll_send(comm, sendbuf[peer], peer, tag)
         if sop.completion is None:
             sop.waiter = comm.env.make_waiter(f"alltoall send to {peer}")
-            comm.env.block("mpi.alltoall.send")
+            comm.env.block()
         else:
             comm.env.advance_to(sop.completion)
     for op in reqs:
         if op.completion is None:
             op.waiter = comm.env.make_waiter("alltoall recv")
-            comm.env.block("mpi.alltoall.recv")
+            comm.env.block()
         else:
             comm.env.advance_to(op.completion)

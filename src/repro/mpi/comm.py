@@ -291,7 +291,7 @@ class Comm:
             op.waiter = self.env.make_waiter(
                 f"MPI_Send to rank {dest} tag {tag} "
                 f"({op.nbytes}B, rendezvous)")
-            self.env.block("mpi.send")
+            self.env.block()
         else:
             self.env.advance_to(op.completion)
 
@@ -306,7 +306,7 @@ class Comm:
                 f"MPI_Recv from "
                 f"{'ANY' if source == ANY_SOURCE else source} tag "
                 f"{'ANY' if tag == ANY_TAG else tag}")
-            self.env.block("mpi.recv")
+            self.env.block()
         else:
             self.env.advance_to(op.completion)
         op.commit()
@@ -334,7 +334,7 @@ class Comm:
                 continue
             if op.completion is None:
                 op.waiter = self.env.make_waiter(what)
-                self.env.block(what)
+                self.env.block()
             else:
                 self.env.advance_to(op.completion)
         if rop is not None:
@@ -372,7 +372,7 @@ class Comm:
         if op.completion is None:
             op.waiter = self.env.make_waiter(
                 f"completion of {request.side} {op!r}")
-            self.env.block(f"mpi.wait.{request.side}")
+            self.env.block()
         else:
             self.env.advance_to(op.completion)
         if isinstance(op, RecvOp):
@@ -525,7 +525,7 @@ class Comm:
             key = (self.group.gid, "p2p", self.env.rank)
             self.world.probe_waiters.setdefault(key, []).append(
                 (src_global, tag, waiter))
-            got = self.env.block("mpi.probe")
+            got = self.env.block()
             s = got.payload
         else:
             # Cover the message's arrival time: a probe cannot report a

@@ -215,7 +215,7 @@ class Win:
                 waiter = env.make_waiter(
                     f"MPI_Win_post by rank {target}")
                 state["start_waiters"][key] = waiter
-                env.block("rma.start")
+                env.block()
             del state["posted"][key]
         self._access_group = list(targets)
         self._access_pending = {}
@@ -258,7 +258,7 @@ class Win:
                 waiter = env.make_waiter(
                     f"MPI_Win_complete by rank {origin}")
                 state["wait_waiters"][key] = waiter
-                env.block("rma.wait")
+                env.block()
                 del state["completed"][key]
             else:
                 env.advance_to(t)

@@ -368,7 +368,7 @@ class Shmem:
                 f"shmem_wait_until(sym {sym.sid}[{index}] {op} {value})")
             key = (sym.sid, self.env.rank)
             self.heap.cell_waiters.setdefault(key, []).append(waiter)
-            self.env.block("shmem.wait_until")
+            self.env.block()
 
     def _notify_cell_waiters(self, target: SymArray, pe: int,
                              completion: float) -> None:

@@ -407,7 +407,7 @@ class Engine:
             raise SimStateError("no simulated rank is currently running")
         return self._current
 
-    def block(self, proc: Proc, reason: str) -> Waiter:
+    def block(self, proc: Proc) -> Waiter:
         """Block ``proc`` until some party wakes its waiter; returns it.
 
         Must be called from ``proc``'s own thread. The waiter should have

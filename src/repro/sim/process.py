@@ -109,14 +109,14 @@ class Env:
         """Create the waiter this rank will block on next."""
         return self._engine.make_waiter(self._proc, reason)
 
-    def block(self, reason: str) -> "Waiter":
+    def block(self) -> "Waiter":
         """Block until the installed waiter is woken; returns it.
 
         The rank's clock is already advanced to the wake time when this
         returns; the waiter carries the wake payload.
         """
         self._check_current()
-        return self._engine.block(self._proc, reason)
+        return self._engine.block(self._proc)
 
     def _check_current(self) -> None:
         if self._engine._current is not self._proc:

@@ -68,7 +68,7 @@ class Rendezvous:
                 f"{self.name} (gen {self._generation}, "
                 f"{len(self.members) - len(self._arrivals)} more to arrive)")
             self._waiters.append(waiter)
-            env.block(self.name)
+            env.block()
             return env.now
         # Last to arrive: compute the release time and wake everyone.
         release = max(self._arrivals.values()) + self.cost_fn(len(self.members))

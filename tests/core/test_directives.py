@@ -515,3 +515,220 @@ class TestStructuredPayloads:
         # One creation per rank; the rest are cache hits.
         assert eng.stats.datatype_ops["struct_created"] == 2
         assert eng.stats.datatype_ops["struct_reused"] >= 6
+
+
+def _a(n=2, dtype=np.float64):
+    return np.zeros(n, dtype=dtype)
+
+
+#: A self-transfer on rank 0 of a one-rank world.
+ME = dict(sender=0, receiver=0)
+
+PAIRING = ("sendwhen and receivewhen must both be present or both be "
+           "omitted (Section III-B)")
+
+
+def p2p_only(name):
+    return (f"clause(s) ['{name}'] may only be used with comm_parameters "
+            "(Section III-B)")
+
+
+def missing(names):
+    return (f"comm_p2p is missing required clause(s) {names} (not "
+            "provided by the directive or its enclosing comm_parameters "
+            "region)")
+
+
+def bad_target(got):
+    return ("target clause accepts ['TARGET_COMM_MPI_1SIDE', "
+            f"'TARGET_COMM_MPI_2SIDE', 'TARGET_COMM_SHMEM']; got {got!r}")
+
+
+#: (case, region clauses or None, instance clauses, comm_p2p executions
+#: per region entry, error type, message): every ClauseError and
+#: SymmetryError path of comm_p2p/comm_parameters, with its exact text.
+ERROR_CASES = [
+    ("unknown_clause", None,
+     lambda env: dict(ME, sbuf=_a(), rbuf=_a(), frobnicate=2), 1,
+     ClauseError,
+     "unknown clause(s) ['frobnicate']; the directives accept ['count', "
+     "'max_comm_iter', 'place_sync', 'rbuf', 'receiver', 'receivewhen', "
+     "'sbuf', 'sender', 'sendwhen', 'target']"),
+    ("place_sync_on_p2p", None,
+     lambda env: dict(ME, sbuf=_a(), rbuf=_a(),
+                      place_sync="END_PARAM_REGION"), 1,
+     ClauseError, p2p_only("place_sync")),
+    ("max_comm_iter_on_p2p", None,
+     lambda env: dict(ME, sbuf=_a(), rbuf=_a(), max_comm_iter=2), 1,
+     ClauseError, p2p_only("max_comm_iter")),
+    ("unpaired_when_instance", None,
+     lambda env: dict(ME, sbuf=_a(), rbuf=_a(), sendwhen=True), 1,
+     ClauseError, PAIRING),
+    ("unpaired_when_region", dict(ME, receivewhen=True),
+     lambda env: dict(sbuf=_a(), rbuf=_a()), 1,
+     ClauseError, PAIRING),
+    ("missing_required", None,
+     lambda env: dict(sbuf=_a(), rbuf=_a()), 1,
+     ClauseError, missing(["sender", "receiver"])),
+    ("missing_required_in_region", dict(sender=0),
+     lambda env: dict(sbuf=_a()), 1,
+     ClauseError, missing(["receiver", "rbuf"])),
+    ("bad_target", None,
+     lambda env: dict(ME, sbuf=_a(), rbuf=_a(), target="TARGET_COMM_PVM"),
+     1, ClauseError, bad_target("TARGET_COMM_PVM")),
+    ("bad_region_target", dict(ME, target="MPI"),
+     lambda env: dict(sbuf=_a(), rbuf=_a()), 1,
+     ClauseError, bad_target("MPI")),
+    ("bad_place_sync", dict(ME, place_sync="WHEREVER"),
+     lambda env: dict(sbuf=_a(), rbuf=_a()), 1,
+     ClauseError,
+     "place_sync clause accepts ['END_PARAM_REGION', "
+     "'BEGIN_NEXT_PARAM_REGION', 'END_ADJ_PARAM_REGIONS']; got 'WHEREVER'"),
+    ("negative_count", None,
+     lambda env: dict(ME, sbuf=_a(), rbuf=_a(), count=-1), 1,
+     ClauseError, "count must evaluate to a non-negative integer, got -1"),
+    ("float_count", dict(ME, count=1.5),
+     lambda env: dict(sbuf=_a(), rbuf=_a()), 1,
+     ClauseError, "count must evaluate to a non-negative integer, got 1.5"),
+    ("zero_max_comm_iter", dict(ME, max_comm_iter=0),
+     lambda env: dict(sbuf=_a(), rbuf=_a()), 1,
+     ClauseError, "max_comm_iter must evaluate to a positive integer, got 0"),
+    ("sender_outside_world", None,
+     lambda env: dict(sender=99, receiver=0, sbuf=_a(), rbuf=_a()), 1,
+     ClauseError, "sender evaluates to rank 99, outside the 0..0 world"),
+    ("receiver_outside_world", None,
+     lambda env: dict(sender=0, receiver=7, sendwhen=True,
+                      receivewhen=False, sbuf=_a(), rbuf=_a()), 1,
+     ClauseError, "receiver evaluates to rank 7, outside the 0..0 world"),
+    ("receiver_not_a_rank",
+     dict(ME, receiver="0", sendwhen=True, receivewhen=False),
+     lambda env: dict(sbuf=_a(), rbuf=_a()), 1,
+     ClauseError, "receiver must evaluate to a process id, got '0'"),
+    ("sbuf_not_a_buffer", None,
+     lambda env: dict(ME, sbuf=3.0, rbuf=_a()), 1,
+     ClauseError, "sbuf must be a buffer or a list of buffers; got float"),
+    ("rbuf_empty_list", None,
+     lambda env: dict(ME, sbuf=_a(), rbuf=[]), 1,
+     ClauseError, "rbuf must list at least one buffer"),
+    ("rbuf_entry_not_array", None,
+     lambda env: dict(ME, sbuf=[_a()], rbuf=(_a(), [0.0])), 1,
+     ClauseError,
+     "rbuf entries must be numpy arrays (or symmetric arrays for the "
+     "SHMEM target); got list"),
+    ("shmem_plain_rbuf", None,
+     lambda env: dict(ME, sbuf=[_a(), _a()],
+                      rbuf=[shmem.init(env).malloc(2, np.float64), _a()],
+                      target="TARGET_COMM_SHMEM"), 1,
+     SymmetryError,
+     "TARGET_COMM_SHMEM requires every rbuf entry to be a symmetric data "
+     "object (shmem.malloc); entries [1] are plain arrays (Section III-B)"),
+    ("list_length_mismatch", None,
+     lambda env: dict(ME, sbuf=[_a(), _a()], rbuf=_a()), 1,
+     ClauseError,
+     "sbuf and rbuf must list the same number of buffers (payloads pair "
+     "up positionally); got 2 vs 1"),
+    ("element_size_mismatch", None,
+     lambda env: dict(ME, sbuf=[_a(), _a()],
+                      rbuf=[_a(), _a(2, np.int32)]), 1,
+     ClauseError,
+     "buffer pair 1: element sizes differ (8 vs 4 bytes); the generated "
+     "transfer would reinterpret elements"),
+    ("count_exceeds_rbuf", None,
+     lambda env: dict(ME, sbuf=[_a(8), _a(8)], rbuf=[_a(8), _a(3)],
+                      count=5), 1,
+     ClauseError, "count 5 exceeds rbuf[1] (3 elements)"),
+    ("count_exceeds_sbuf", dict(ME, count=4),
+     lambda env: dict(sbuf=_a(3), rbuf=_a(3)), 1,
+     ClauseError, "count 4 exceeds sbuf[0] (3 elements)"),
+    ("inferred_count_without_array", None,
+     lambda env: dict(ME, sbuf=_a(0), rbuf=_a(0)), 1,
+     ClauseError,
+     "count was omitted but no buffer in sbuf/rbuf is an array; provide "
+     "count explicitly"),
+    ("max_comm_iter_overflow", dict(ME, count=1, max_comm_iter=1),
+     lambda env: dict(sbuf=_a(), rbuf=_a()), 2,
+     ClauseError,
+     "comm_p2p executed 2 times in a region declaring max_comm_iter(1); "
+     "the generated synchronization bookkeeping would overflow "
+     "(Section III-B)"),
+]
+
+REPEATS = 3
+
+
+def _execute(env, region, inst, inside):
+    """One execution of a directive site (inside a region when given)."""
+    if region is None:
+        with comm_p2p(env, **inst):
+            pass
+        return
+    with comm_parameters(env, **region):
+        for _ in range(inside):
+            with comm_p2p(env, **inst):
+                pass
+
+
+def _outcome(env, region, inst, inside=1):
+    try:
+        _execute(env, region, inst, inside)
+    except (ClauseError, SymmetryError) as e:
+        return (type(e), str(e))
+    return "ok"
+
+
+class TestErrorPaths:
+    """A directive site resolves its clause names once; its errors must
+    not depend on how often the site ran before."""
+
+    @pytest.mark.parametrize("case", ERROR_CASES, ids=lambda c: c[0])
+    def test_same_error_on_every_execution(self, case):
+        _, region, inst, inside, etype, message = case
+
+        def prog(env):
+            return [_outcome(env, region, inst(env), inside)
+                    for _ in range(REPEATS)]
+
+        res, _ = run(1, prog)
+        assert res.values[0] == [(etype, message)] * REPEATS
+
+    @pytest.mark.parametrize("where,bad,etype,message", [
+        ("p2p", dict(count=5), ClauseError,
+         "count 5 exceeds sbuf[0] (2 elements)"),
+        ("p2p", dict(sender=9), ClauseError,
+         "sender evaluates to rank 9, outside the 0..0 world"),
+        ("p2p", dict(target="SHMEM"), ClauseError, bad_target("SHMEM")),
+        ("p2p", dict(target="TARGET_COMM_SHMEM"), SymmetryError,
+         "TARGET_COMM_SHMEM requires every rbuf entry to be a symmetric "
+         "data object (shmem.malloc); entries [0] are plain arrays "
+         "(Section III-B)"),
+        ("p2p", dict(sbuf=np.zeros(2, np.int32)), ClauseError,
+         "buffer pair 0: element sizes differ (4 vs 8 bytes); the "
+         "generated transfer would reinterpret elements"),
+        ("p2p", dict(rbuf=[]), ClauseError,
+         "rbuf must list at least one buffer"),
+        ("region", dict(count=-1), ClauseError,
+         "count must evaluate to a non-negative integer, got -1"),
+        ("region", dict(sender="0"), ClauseError,
+         "sender must evaluate to a process id, got '0'"),
+        ("region", dict(max_comm_iter=True), ClauseError,
+         "max_comm_iter must evaluate to a positive integer, got True"),
+    ])
+    def test_bad_value_after_success_still_raises(self, where, bad, etype,
+                                                  message):
+        """The plan caches names, never values: a site that succeeded
+        still checks a bad value given under the same clause names."""
+        good = {"p2p": dict(sbuf=_a(), rbuf=_a(),
+                            target="TARGET_COMM_MPI_2SIDE"),
+                "region": dict(ME, count=1, max_comm_iter=1)}
+
+        def prog(env):
+            outcomes = []
+            for change in ({}, bad, {}):
+                clauses = {k: {**v, **change} if k == where else v
+                           for k, v in good.items()}
+                outcomes.append(_outcome(env, clauses["region"],
+                                         clauses["p2p"]))
+            return outcomes
+
+        res, _ = run(1, prog)
+        assert res.values[0] == ["ok", (etype, message), "ok"]

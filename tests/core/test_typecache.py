@@ -105,3 +105,16 @@ class TestCache:
         first, second = res.values[0]
         assert first == pytest.approx(model.struct_create_cost(2))
         assert second == 0.0
+
+
+class TestDirectiveRun:
+    def test_wllsms_directive_struct_counts(self):
+        """A P=33 directive WL-LSMS run creates one struct per rank and
+        composite dtype and reuses it afterwards (counts of the
+        string-keyed cache this one replaced)."""
+        from repro.apps.wllsms import AppConfig, run_app
+
+        res = run_app(AppConfig(n_lsms=2, group_size=16, wl_steps=4,
+                                variant="directive", seed=1))
+        assert res.stats.datatype_ops["struct_created"] == 32
+        assert res.stats.datatype_ops["struct_reused"] == 28

@@ -85,6 +85,23 @@ class TestVirtualStall:
             assert line.startswith(f"  rank {rank}: ")
             assert line.endswith(f", last span: {last}")
 
+    def test_report_names_a_blocked_ranks_waiter(self):
+        """A blocked rank's line names the reason its waiter was made
+        with; ``block()`` itself takes no reason."""
+        def main(env):
+            if env.rank == 0:
+                env.make_waiter("value from rank 1")
+                env.block()
+            while True:
+                env.yield_()
+
+        eng = Engine(2, watchdog=Watchdog(wall_timeout=None,
+                                          stall_events=200))
+        with pytest.raises(SimHangError) as ei:
+            eng.run(main)
+        assert ei.value.report.splitlines()[0] == (
+            "  rank 0: blocked t=0.000000000, waiting on value from rank 1")
+
     def test_progress_resets_the_stall_counter(self):
         """Long but *productive* polling loops stay under the limit:
         compute() in between resets the no-progress count."""

@@ -112,7 +112,7 @@ def test_deadlock_detected_with_diagnostics():
     def prog(env):
         if env.rank == 0:
             env.make_waiter("message that never comes")
-            env.block("recv")
+            env.block()
         # rank 1 just exits
 
     with pytest.raises(SimDeadlockError) as ei:
@@ -128,7 +128,7 @@ def test_block_and_wake_transfers_payload_and_time():
         if env.rank == 0:
             w = env.make_waiter("value from rank 1")
             waiters[0] = w
-            got = env.block("wait-for-1")
+            got = env.block()
             return (got.payload, env.now)
         else:
             env.compute(3.0)
@@ -145,7 +145,7 @@ def test_wake_twice_rejected():
         if env.rank == 0:
             w = env.make_waiter("x")
             env.engine.services["w"] = w
-            env.block("x")
+            env.block()
         else:
             env.compute(1.0)
             w = env.engine.services["w"]
@@ -195,7 +195,7 @@ def test_max_time_same_error_from_wake_path():
         if env.rank == 0:
             env.make_waiter("late wake")
             env.engine.services["w"] = env._proc.waiter
-            env.block("w")
+            env.block()
             env.compute(1.0)  # never reached: woken past max_time
         else:
             env.compute(1.0)
@@ -213,7 +213,7 @@ def test_scheduler_counters_populate():
         if env.rank == 0:
             w = env.make_waiter("ping")
             env.engine.services["w"] = w
-            env.block("ping")
+            env.block()
         else:
             env.engine.wake(env.engine.services["w"], env.now)
 
@@ -241,7 +241,7 @@ def test_wake_never_moves_clock_backwards():
             env.compute(10.0)  # rank 0 is already far ahead
             env.make_waiter("late wake")
             env.engine.services["w"] = env._proc.waiter
-            got = env.block("w")
+            got = env.block()
             assert got.wake_time == 1.0
             return env.now
         else:
