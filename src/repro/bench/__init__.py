@@ -4,8 +4,9 @@ Each ``figure*`` function runs the WL-LSMS mini-app over the paper's
 process sweep under the calibrated Gemini model and returns the series
 the corresponding figure plots; ``productivity`` reproduces the
 Listing 4 -> Listing 5 source comparison. ``python -m repro.bench all``
-prints everything (feeding EXPERIMENTS.md); the ``benchmarks/``
-pytest-benchmark suite runs reduced versions with shape assertions.
+prints everything (feeding EXPERIMENTS.md); the tier-1 suite runs
+reduced versions and asserts the paper's claims as relations
+(``tests/bench/test_relations.py``).
 """
 
 from repro.bench.harness import (

@@ -168,6 +168,12 @@ class CommP2P:
         if pending.overlaps(local_arrays):
             pending.sync(env)
 
+        # Both ranks are checked before anything is posted: a bad
+        # receiver must not leave this rank's receives orphaned.
+        if recvs_here:
+            src = self._check_rank(merged["sender"], "sender")
+        if sends_here:
+            dst = self._check_rank(merged["receiver"], "receiver")
         profile = env.engine.profile
         post_t0 = env.now
         my_sends = []
@@ -175,11 +181,9 @@ class CommP2P:
         # Receives are declared before sends so self-transfers and
         # one-sided exposure always find the destination ready.
         if recvs_here:
-            src = self._check_rank(merged["sender"], "sender")
             for rb in rbufs:
                 my_recvs.append(backend.post_recv(src, rb, count))
         if sends_here:
-            dst = self._check_rank(merged["receiver"], "receiver")
             for sb, rb in zip(sbufs, rbufs):
                 my_sends.append(backend.post_send(dst, sb, rb, count))
 

@@ -30,9 +30,8 @@ preserved because every wake time is ``max(waiter's clock, cause's
 completion time)`` — clocks are monotone per rank.
 
 The pre-heap seed scheduler is preserved as
-:class:`repro.sim.legacy.SeedEngine`; determinism regression tests and
-``benchmarks/bench_engine_scaling.py`` run both and assert identical
-virtual-time results.
+:class:`repro.sim.legacy.SeedEngine`; determinism regression tests run
+both and assert identical virtual-time results.
 """
 
 from __future__ import annotations

@@ -6,14 +6,10 @@ algorithm exactly: an ``O(P)`` ready-list rebuild per dispatch, an
 every slice boundary (two OS-thread context switches per slice instead
 of one direct handoff).
 
-It exists for two jobs:
-
-* ``benchmarks/bench_engine_scaling.py`` runs the same workload under
-  both engines and records the wall-clock speedup of the heap/handoff
-  scheduler;
-* determinism regression tests assert that both engines produce
-  identical virtual-time results (span streams, finish times,
-  makespans) — the heap refactor is a pure performance change.
+It exists for one job: determinism regression tests
+(``tests/sim/test_determinism.py``) assert that both engines produce
+identical virtual-time results (span streams, finish times,
+makespans) — the heap refactor is a pure performance change.
 
 Do not use it for anything else; it shares the public API of
 :class:`~repro.sim.engine.Engine` but is deliberately frozen at the

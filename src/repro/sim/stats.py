@@ -42,8 +42,8 @@ class SimStats:
     #: through the scheduler thread (run-to-block batching).
     direct_handoffs: int = 0
     #: Host wall-clock seconds spent inside the scheduler (the whole
-    #: dispatch loop, including rank execution) — the quantity
-    #: ``benchmarks/bench_engine_scaling.py`` tracks against P.
+    #: dispatch loop, including rank execution); ``perfbench`` reports
+    #: it as the ``sim.engine.dispatch_s`` layer.
     dispatch_wall_seconds: float = 0.0
     #: Injected fault events, by kind (``"jitter"``, ``"reorder"``,
     #: ``"drop"``, ``"stall"``, ``"crash"``).

@@ -712,6 +712,10 @@ class TestErrorPaths:
          "sender must evaluate to a process id, got '0'"),
         ("region", dict(max_comm_iter=True), ClauseError,
          "max_comm_iter must evaluate to a positive integer, got True"),
+        ("region", dict(receiver="0"), ClauseError,
+         "receiver must evaluate to a process id, got '0'"),
+        ("p2p", dict(receiver=9), ClauseError,
+         "receiver evaluates to rank 9, outside the 0..0 world"),
     ])
     def test_bad_value_after_success_still_raises(self, where, bad, etype,
                                                   message):
