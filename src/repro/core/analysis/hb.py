@@ -10,11 +10,12 @@ feed:
   execute (a Waitall waiting for the matching post, a one-sided put
   waiting for its exposure epoch, a notify-wait waiting for the
   origin's flush);
-* the **executability fixpoint** computes which events can ever run: an
-  event runs once everything before it on its rank ran and every
-  cross-rank prerequisite ran. Events left non-executable are a proof
-  of deadlock — either a prerequisite is *missing* (a wait on a message
-  nobody sends) or the blocked events form a cross-rank cycle;
+* the **executability fixpoint** (:func:`vector_clocks`) computes which
+  events can ever run, and their vector clocks: an event runs once
+  everything before it on its rank ran and every cross-rank
+  prerequisite ran. Events left non-executable are a proof of deadlock
+  — either a prerequisite is *missing* (a wait on a message nobody
+  sends) or the blocked events form a cross-rank cycle;
 * :func:`find_cycle` recovers the rank-level wait cycle for the
   diagnostic message.
 """
@@ -23,8 +24,12 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from collections.abc import Container
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.core.analysis.races import WalkAccesses
 
 #: Event kinds.
 POST_SEND = "post_send"
@@ -75,7 +80,10 @@ class Handle:
     post: Event
     directive: int                  # directive source line
     names: frozenset[str]           # buffer base names it moves
-    target: str                     # lowering target keyword
+    #: Lowering target keyword. A walk records only the directive's own
+    #: ``target`` clause (None = the default); the per-target labelling
+    #: of :mod:`repro.core.analysis.verify` resolves it.
+    target: str | None
     #: The buffer expression as written (``&buf[p]``), for the
     #: byte-interval derivation of :mod:`repro.core.analysis.access`.
     expr: str = ""
@@ -122,36 +130,7 @@ class HBGraph:
         """
         self.missing.setdefault(event, []).append((code, reason, directive))
 
-    # -- executability ----------------------------------------------------
-
-    def executable(self) -> set[Event]:
-        """Least fixpoint of events that can ever run.
-
-        A rank's events execute in order; each event additionally needs
-        its cross-rank prerequisites. An event with a missing
-        prerequisite blocks its rank permanently.
-        """
-        done: set[Event] = set()
-        progress = [0] * len(self.traces)
-        changed = True
-        while changed:
-            changed = False
-            for rank, trace in enumerate(self.traces):
-                i = progress[rank]
-                while i < len(trace):
-                    event = trace[i]
-                    if event in self.missing:
-                        break
-                    if any(d not in done for d in
-                           self.deps.get(event, ())):
-                        break
-                    done.add(event)
-                    i += 1
-                    changed = True
-                progress[rank] = i
-        return done
-
-    def blocked_frontier(self, done: set[Event]) -> list[Event]:
+    def blocked_frontier(self, done: Container[Event]) -> list[Event]:
         """Each rank's first non-executable event (ranks that finish
         their trace contribute nothing)."""
         frontier: list[Event] = []
@@ -164,13 +143,15 @@ class HBGraph:
 
 
 def vector_clocks(graph: HBGraph) -> dict[Event, list[int]]:
-    """Per-event vector clocks over the happens-before relation.
+    """The executability fixpoint, with per-event vector clocks.
 
-    ``vc[e][r]`` is the number of rank-``r`` events that happen before
-    ``e`` (inclusive of ``e`` itself on its own rank): an event ``a``
-    happens before ``b`` iff ``vc[b][a.rank] > a.index``. Only events
-    the executability fixpoint reaches get a clock — blocked events
-    (deadlocked programs) are absent from the result.
+    A rank's events execute in order; each event additionally needs its
+    cross-rank prerequisites, and an event with a missing prerequisite
+    blocks its rank permanently. The keys of the result are exactly the
+    events that can ever run — blocked events (deadlocked programs) get
+    no clock. ``vc[e][r]`` is the number of rank-``r`` events that
+    happen before ``e`` (inclusive of ``e`` itself on its own rank): an
+    event ``a`` happens before ``b`` iff ``vc[b][a.rank] > a.index``.
     """
     done: dict[Event, list[int]] = {}
     n = graph.nprocs
@@ -204,24 +185,31 @@ def vector_clocks(graph: HBGraph) -> dict[Event, list[int]]:
 # ---------------------------------------------------------------------------
 # Content-hash keyed unroll cache
 #
-# One symbolic unroll — the per-rank tracers plus the assembled
-# happens-before graph — is pure in (source text, nprocs, extra_vars,
-# target, weakening, sync-plan shape). The verify, race and batch-lint
-# passes all consume the same unroll, and batch linting thousands of
-# generated programs (repro.gen) re-verifies identical shrunk
-# candidates constantly; caching by content hash means each distinct
-# (program, nprocs, target) pays the graph cost once instead of once
-# per pass.
+# The symbolic walk — the per-rank tracers — is pure in (source text,
+# nprocs, extra_vars, weakening, sync-plan shape); no lowering target
+# participates. A directive states its communication once, and the
+# target only decides how each handle lowers, so the verifier walks each
+# program once and labels the handles per target afterwards (cheap:
+# a handle copy, the matching and the graph). The verify, race and
+# batch-lint passes of every target share one walk, and batch linting
+# thousands of generated programs (repro.gen) re-verifies identical
+# shrunk candidates constantly; caching by content hash means each
+# distinct (program, nprocs, weakening) pays the walk once instead of
+# once per target and pass.
 
 
 @dataclass
 class CachedUnroll:
-    """One memoized symbolic unroll: tracers + graph (either may be
-    ``None``-ish only in the nothing-to-unroll case, where ``graph`` is
-    ``None`` and ``tracers`` is the empty-handled tracer list)."""
+    """One memoized target-independent walk.
+
+    ``tracers`` are the per-rank tracers, whose handles carry only
+    their directive's own ``target`` clause; ``accesses`` holds the
+    race pass's target-independent byte intervals and raw-code writes,
+    filled on first use and shared by every target.
+    """
 
     tracers: list[Any]
-    graph: "HBGraph | None"
+    accesses: "WalkAccesses | None" = None
 
 
 class GraphCache:
@@ -265,32 +253,34 @@ class GraphCache:
                 "misses": self.misses}
 
 
-#: The process-wide unroll cache :func:`repro.core.analysis.verify.
-#: verify_program` consults (pass ``cache=False`` there to bypass).
+#: The process-wide walk cache the verifier consults (pass
+#: ``cache=False`` to :func:`repro.core.analysis.verify.verify_program`
+#: or ``verify_all_targets`` to bypass).
 GRAPH_CACHE = GraphCache()
 
 
-def unroll_key(source: str, nprocs: int, target: str,
+def unroll_key(source: str, nprocs: int,
                extra_vars: dict[str, int] | None,
                weakening: str | None,
                plan_fingerprint: tuple[tuple[int, str], ...]) -> str:
-    """Content hash identifying one symbolic unroll.
+    """Content hash identifying one target-independent walk.
 
-    Everything the unroll is a pure function of participates: the
+    Everything the walk is a pure function of participates: the
     printed source (the parse/print fixpoint makes it canonical), the
-    world size, extra variable bindings, the default lowering target,
-    the applied weakening, and the sync-plan shape (line/position pairs
-    — a caller-mutated plan changes the fingerprint).
+    world size, extra variable bindings, the applied weakening, and the
+    sync-plan shape (line/position pairs — a caller-mutated plan
+    changes the fingerprint). The lowering target does not: one walk
+    serves every target.
     """
     h = hashlib.sha256()
     h.update(source.encode())
-    h.update(repr((nprocs, target, weakening,
+    h.update(repr((nprocs, weakening,
                    tuple(sorted((extra_vars or {}).items())),
                    plan_fingerprint)).encode())
     return h.hexdigest()
 
 
-def find_cycle(graph: HBGraph, done: set[Event]) -> list[Event]:
+def find_cycle(graph: HBGraph, done: Container[Event]) -> list[Event]:
     """A cross-rank wait cycle among the blocked frontier events.
 
     Each blocked event waits (directly, or transitively through its

@@ -34,7 +34,7 @@ from repro.core.analysis.overlap import overlap_legal
 from repro.core.analysis.syncopt import SyncPlan, plan_synchronization
 from repro.core.analysis.verify import verify_all_targets
 from repro.core.clauses import Target
-from repro.core.ir import P2PNode, Program
+from repro.core.ir import ClauseExprs, P2PNode, Program
 from repro.errors import ReproError, VerificationError
 
 #: MatchingIssue.kind -> diagnostic code.
@@ -266,8 +266,9 @@ def structure_report(program: Program, nprocs: int = 8,
             "synchronization cannot fully consolidate",
             target="*"))
 
-    for node in program.all_p2p():
-        _lint_directive(program, node, nprocs, extra_vars, report)
+    for node, _region, clauses in program.p2p_clauses():
+        _lint_directive(program, node, clauses, nprocs, extra_vars,
+                        report)
     return report
 
 
@@ -382,13 +383,10 @@ def _suppress_shadowed(report: LintReport) -> None:
     report.diagnostics[:] = kept
 
 
-def _lint_directive(program: Program, node: P2PNode, nprocs: int,
+def _lint_directive(program: Program, node: P2PNode,
+                    clauses: ClauseExprs, nprocs: int,
                     extra_vars: dict[str, int] | None,
                     report: LintReport) -> None:
-    region = next((r for r in program.regions()
-                   if node in r.p2p_instances()), None)
-    clauses = (region.clauses.merged_into(node.clauses)
-               if region is not None else node.clauses)
     try:
         clauses.require_complete()
     except ReproError as exc:

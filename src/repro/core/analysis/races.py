@@ -94,11 +94,7 @@ class _Access:
 def _count_exprs(program: Program) -> dict[int, str | None]:
     """Directive line -> count expression in elements (None widens)."""
     out: dict[int, str | None] = {}
-    for node in program.all_p2p():
-        region = next((r for r in program.regions()
-                       if node in r.p2p_instances()), None)
-        clauses = (region.clauses.merged_into(node.clauses)
-                   if region is not None else node.clauses)
+    for node, _region, clauses in program.p2p_clauses():
         if "count" in clauses.exprs:
             out[node.line] = clauses.exprs["count"]
         else:
@@ -110,11 +106,60 @@ def _count_exprs(program: Program) -> dict[int, str | None]:
     return out
 
 
-def _collect(program: Program, tracers: Sequence[RankTrace],
-             clocks: dict[hb.Event, list[int]]
+class WalkAccesses:
+    """The target-independent accesses of one walk, computed on first
+    use.
+
+    A buffer expression's byte interval depends on the directive's
+    count, the declarations and the rank's bindings, and a raw-code
+    write is a point access on its own rank; neither depends on the
+    lowering target. One memo serves every target's race pass over the
+    same walk (:class:`repro.core.analysis.hb.CachedUnroll`).
+    """
+
+    def __init__(self, program: Program) -> None:
+        self._decls = program.decls
+        self._counts = _count_exprs(program)
+        self._buffers: dict[tuple[int, int, str], ByteInterval] = {}
+        self._writes: dict[int, list[_Access]] = {}
+
+    def buffer(self, rank: int, variables: dict[str, int],
+               directive: int, expr: str) -> ByteInterval:
+        """Bytes ``expr`` of the directive at line ``directive``
+        transfers on ``rank``."""
+        key = (rank, directive, expr)
+        span = self._buffers.get(key)
+        if span is None:
+            span = self._buffers[key] = buffer_interval(
+                expr, self._counts.get(directive), self._decls,
+                variables)
+        return span
+
+    def raw_writes(self, tracer: RankTrace) -> list[_Access]:
+        """The raw-code assignments on ``tracer``'s rank, in trace
+        order."""
+        writes = self._writes.get(tracer.rank)
+        if writes is None:
+            writes = self._writes[tracer.rank] = [
+                _Access(kind="write", comm=False, start=event.index,
+                        end=event.index + 1,
+                        span=write_interval(wname, idx_expr,
+                                            self._decls,
+                                            tracer.variables),
+                        owner=tracer.rank, name=wname, line=event.line,
+                        directive=event.directive,
+                        desc=f"the assignment at line {event.line}",
+                        origin=tracer.rank)
+                for event in tracer.trace
+                for wname, idx_expr in sorted(event.writes)]
+        return writes
+
+
+def _collect(tracers: Sequence[RankTrace],
+             clocks: dict[hb.Event, list[int]],
+             accesses: WalkAccesses
              ) -> dict[tuple[int, str], list[_Access]]:
     """All accesses, grouped by (owner rank, buffer base name)."""
-    counts = _count_exprs(program)
     vars_of = {t.rank: t.variables for t in tracers}
     groups: dict[tuple[int, str], list[_Access]] = {}
 
@@ -125,8 +170,8 @@ def _collect(program: Program, tracers: Sequence[RankTrace],
         rank = tracer.rank
         for h in tracer.handles:
             name = next(iter(h.names))
-            span = buffer_interval(h.expr, counts.get(h.directive),
-                                   program.decls, tracer.variables)
+            span = accesses.buffer(rank, tracer.variables, h.directive,
+                                   h.expr)
             # The handle is complete only when its guaranteeing sync
             # *returns*: a cross-rank access ordered after every event
             # before the sync but not after the sync itself (its
@@ -163,9 +208,9 @@ def _collect(program: Program, tracers: Sequence[RankTrace],
                         kind="write", comm=True,
                         start=(vc[h.peer] if vc is not None else 0),
                         end=_OPEN,
-                        span=buffer_interval(
-                            h.dest_expr, counts.get(h.directive),
-                            program.decls, tracer.variables),
+                        span=accesses.buffer(
+                            rank, tracer.variables, h.directive,
+                            h.dest_expr),
                         owner=h.peer,
                         name=base_identifier(h.dest_expr),
                         line=h.post.line, directive=h.directive,
@@ -192,10 +237,10 @@ def _collect(program: Program, tracers: Sequence[RankTrace],
                 # (they differ when mismatched directives pair up).
                 if h.matched.dest_expr:
                     name = base_identifier(h.matched.dest_expr)
-                    span = buffer_interval(
-                        h.matched.dest_expr,
-                        counts.get(h.matched.directive), program.decls,
-                        vars_of.get(h.matched.rank, tracer.variables))
+                    span = accesses.buffer(
+                        h.matched.rank,
+                        vars_of.get(h.matched.rank, tracer.variables),
+                        h.matched.directive, h.matched.dest_expr)
             add(_Access(
                 kind="write", comm=True, start=start, end=end,
                 span=span, owner=rank, name=name, line=h.post.line,
@@ -209,18 +254,8 @@ def _collect(program: Program, tracers: Sequence[RankTrace],
                 origin_sync=(h.matched.sync.index
                              if h.matched.sync is not None else None),
                 shmem=shmem, put_like=put_like))
-        for event in tracer.trace:
-            for wname, idx_expr in sorted(event.writes):
-                add(_Access(
-                    kind="write", comm=False, start=event.index,
-                    end=event.index + 1,
-                    span=write_interval(wname, idx_expr,
-                                        program.decls,
-                                        tracer.variables),
-                    owner=rank, name=wname, line=event.line,
-                    directive=event.directive,
-                    desc=f"the assignment at line {event.line}",
-                    origin=rank))
+        for acc in accesses.raw_writes(tracer):
+            add(acc)
     return groups
 
 
@@ -282,12 +317,16 @@ def _classify(a: _Access, b: _Access) -> tuple[str, str]:
         f"synchronization (overlap {ov.describe()})")
 
 
-def race_diagnostics(program: Program, tracers: Sequence[RankTrace],
-                     graph: hb.HBGraph, target: Target,
-                     loop_varying: frozenset[int]) -> list[Diagnostic]:
-    """All CI04x findings for one unrolled target, rank-aggregated."""
-    clocks = hb.vector_clocks(graph)
-    groups = _collect(program, tracers, clocks)
+def race_diagnostics(tracers: Sequence[RankTrace],
+                     clocks: dict[hb.Event, list[int]], target: Target,
+                     loop_varying: frozenset[int],
+                     accesses: WalkAccesses) -> list[Diagnostic]:
+    """All CI04x findings for one unrolled target, rank-aggregated.
+
+    ``clocks`` are the target graph's vector clocks
+    (:func:`repro.core.analysis.hb.vector_clocks`); ``accesses`` is
+    the walk's shared memo of target-independent accesses."""
+    groups = _collect(tracers, clocks, accesses)
 
     found: dict[tuple[str, str, int, int, str], tuple[str, str,
                                                       int | None,

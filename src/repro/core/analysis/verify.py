@@ -38,7 +38,7 @@ from repro.core import exprs
 from repro.core.analysis import hb
 from repro.core.analysis.codes import Diagnostic, make
 from repro.core.analysis.independence import base_identifier
-from repro.core.analysis.races import race_diagnostics
+from repro.core.analysis.races import WalkAccesses, race_diagnostics
 from repro.core.analysis.syncopt import SyncPlan, plan_synchronization
 from repro.core.clauses import SyncPlacement, Target
 from repro.core.ir import (
@@ -89,9 +89,10 @@ class VerifyReport:
     #: The happens-before graph, for tooling/tests; None when the
     #: program had nothing to unroll.
     graph: hb.HBGraph | None = None
-    #: The per-rank symbolic traces, for downstream passes (the CI04x
-    #: race analysis) and tests; None when nothing was unrolled.
-    tracers: "list[_RankTracer] | None" = None
+    #: The per-rank traces labelled for this target, for downstream
+    #: passes (the CI04x race analysis) and tests; None when nothing
+    #: was unrolled.
+    tracers: "list[_RankView] | None" = None
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -123,19 +124,19 @@ class _RankTracer:
     Mirrors :class:`repro.core.region.RegionState`: posts accumulate in
     a pending set; plan points (and forced dependent flushes) emit SYNC
     events completing the pending handles, subject to the configured
-    weakening.
+    weakening. The walk is target-independent: each handle records only
+    its directive's own ``target`` clause (None = the default), and
+    :func:`_label` resolves it per lowering target.
     """
 
     def __init__(self, rank: int, nprocs: int, variables: dict[str, int],
-                 default_target: Target, plan_points: dict[
-                     tuple[int, str], int],
+                 plan_points: dict[tuple[int, str], int],
                  rbuf_names: frozenset[str],
                  weakening: str | None,
                  buffer_names: frozenset[str] = frozenset()) -> None:
         self.rank = rank
         self.nprocs = nprocs
         self.variables = variables
-        self.default_target = default_target
         self.plan_points = plan_points
         self.rbuf_names = rbuf_names
         self.buffer_names = buffer_names or rbuf_names
@@ -253,7 +254,8 @@ class _RankTracer:
         clauses = (region_clauses.merged_into(node.clauses)
                    if region_clauses is not None else node.clauses)
         resolved = _resolve(clauses, self.variables)
-        target = clauses.target or self.default_target
+        target = (clauses.target.value if clauses.target is not None
+                  else None)
         standalone = region is None
         pending_box = [] if standalone else self.pending
 
@@ -314,7 +316,7 @@ class _RankTracer:
             self.pending = saved
 
     def _post(self, kind: str, node: P2PNode, peer: int,
-              names: frozenset[str], target: Target,
+              names: frozenset[str], target: str | None,
               region: ParamRegionNode | None,
               expr: str = "", dest_expr: str = "") -> hb.Handle:
         event = self._event(hb.POST_SEND if kind == "send"
@@ -323,7 +325,7 @@ class _RankTracer:
                             names=names)
         handle = hb.Handle(kind=kind, rank=self.rank, peer=peer,
                            post=event, directive=node.line, names=names,
-                           target=target.value, expr=expr,
+                           target=target, expr=expr,
                            dest_expr=dest_expr,
                            region_key=(id(region) if region is not None
                                        else None))
@@ -368,7 +370,36 @@ def _resolve(clauses: ClauseExprs, variables: dict[str, int]
 
 
 # ---------------------------------------------------------------------------
-# Cross-rank assembly
+# Per-target labelling and cross-rank assembly
+
+
+@dataclass
+class _RankView:
+    """One rank of a walk labelled for one lowering target: the walk's
+    shared trace and downgrades, plus copies of its handles carrying
+    the resolved target."""
+
+    rank: int
+    variables: dict[str, int]
+    trace: list[hb.Event]
+    downgrades: list[_Downgrade]
+    handles: list[hb.Handle]
+
+
+def _label(tracers: list[_RankTracer], target: Target) -> list[_RankView]:
+    """Copy every walked handle with its lowering target resolved (the
+    directive's own ``target`` clause, else ``target``). The copies
+    start unmatched; :func:`_match` pairs them for this target."""
+    default = target.value
+    return [_RankView(
+        t.rank, t.variables, t.trace, t.downgrades,
+        [hb.Handle(kind=h.kind, rank=h.rank, peer=h.peer, post=h.post,
+                   directive=h.directive, names=h.names,
+                   target=h.target or default, expr=h.expr,
+                   sync=h.sync, dest_expr=h.dest_expr,
+                   region_key=h.region_key)
+         for h in t.handles])
+        for t in tracers]
 
 
 def _plan_point_map(plan: SyncPlan) -> dict[tuple[int, str], int]:
@@ -379,7 +410,7 @@ def _plan_point_map(plan: SyncPlan) -> dict[tuple[int, str], int]:
     return points
 
 
-def _match(tracers: list[_RankTracer]) -> None:
+def _match(tracers: list[_RankView]) -> None:
     """Pair send and receive halves positionally per ordered rank pair,
     mirroring the runtime's per-channel sequence numbers."""
     sends: dict[tuple[int, int], list[hb.Handle]] = {}
@@ -408,7 +439,7 @@ def _match(tracers: list[_RankTracer]) -> None:
             r.matched = s
 
 
-def _build_graph(tracers: list[_RankTracer], nprocs: int) -> hb.HBGraph:
+def _build_graph(tracers: list[_RankView], nprocs: int) -> hb.HBGraph:
     """Target-aware cross-rank dependencies over the rank traces."""
     graph = hb.HBGraph(nprocs=nprocs,
                        traces=[t.trace for t in tracers])
@@ -488,10 +519,12 @@ def _build_graph(tracers: list[_RankTracer], nprocs: int) -> hb.HBGraph:
 # Property checks
 
 
-def _deadlock_diagnostics(graph: hb.HBGraph, target: Target,
+def _deadlock_diagnostics(graph: hb.HBGraph,
+                          done: dict[hb.Event, list[int]], target: Target,
                           loop_varying: frozenset[int]
                           ) -> list[Diagnostic]:
-    done = graph.executable()
+    """CI001/CI002/CI003/CI007 from the executable events ``done``
+    (the keys of :func:`repro.core.analysis.hb.vector_clocks`)."""
     if len(done) == sum(len(t) for t in graph.traces):
         return []  # every rank runs to completion
     out: list[Diagnostic] = []
@@ -535,7 +568,7 @@ def _deadlock_diagnostics(graph: hb.HBGraph, target: Target,
     return out
 
 
-def _stale_read_diagnostics(tracers: list[_RankTracer],
+def _stale_read_diagnostics(tracers: list[_RankView],
                             target: Target) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     never: dict[tuple[int, frozenset[str]], list[int]] = {}
@@ -583,7 +616,7 @@ def _stale_read_diagnostics(tracers: list[_RankTracer],
     return out
 
 
-def _consolidation_diagnostics(tracers: list[_RankTracer],
+def _consolidation_diagnostics(tracers: list[_RankView],
                                target: Target) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     seen: set[int] = set()
@@ -623,12 +656,11 @@ def _plan_fingerprint(plan: SyncPlan) -> tuple[tuple[int, str], ...]:
     return tuple(sorted((p.node.line, p.position) for p in plan.points))
 
 
-def _unroll(program: Program, nprocs: int, target: Target,
-            variables_base: dict[str, int], plan: SyncPlan,
-            weakening: str | None) -> hb.CachedUnroll:
-    """Symbolically execute the program on every rank and assemble the
-    cross-rank happens-before graph (``graph=None`` when nothing was
-    posted anywhere)."""
+def _walk(program: Program, nprocs: int,
+          extra_vars: dict[str, int] | None, plan: SyncPlan,
+          weakening: str | None) -> hb.CachedUnroll:
+    """Symbolically execute the program on every rank, once for every
+    lowering target."""
     rbuf_names = frozenset(
         base_identifier(e) for node in program.all_p2p()
         for e in node.clauses.rbuf)
@@ -638,18 +670,29 @@ def _unroll(program: Program, nprocs: int, target: Target,
     plan_points = _plan_point_map(plan)
     tracers: list[_RankTracer] = []
     for rank in range(nprocs):
-        variables = dict(variables_base)
-        variables["rank"] = rank
-        tracer = _RankTracer(rank, nprocs, variables, target,
-                             plan_points, rbuf_names, weakening,
-                             buffer_names)
+        variables = {"nprocs": nprocs, "size": nprocs,
+                     **(extra_vars or {}), "rank": rank}
+        tracer = _RankTracer(rank, nprocs, variables, plan_points,
+                             rbuf_names, weakening, buffer_names)
         tracer.run(program.nodes)
         tracers.append(tracer)
-    if not any(t.handles for t in tracers):
-        return hb.CachedUnroll(tracers=list(tracers), graph=None)
-    _match(tracers)
-    return hb.CachedUnroll(tracers=list(tracers),
-                           graph=_build_graph(tracers, nprocs))
+    return hb.CachedUnroll(tracers=tracers)
+
+
+def _shared_walk(program: Program, nprocs: int,
+                 extra_vars: dict[str, int] | None, plan: SyncPlan,
+                 weakening: str | None, cache: bool) -> hb.CachedUnroll:
+    """The walk of (program, nprocs, extra_vars, weakening, plan),
+    from :data:`repro.core.analysis.hb.GRAPH_CACHE` when ``cache``."""
+    if not cache:
+        return _walk(program, nprocs, extra_vars, plan, weakening)
+    key = hb.unroll_key(program.to_source(), nprocs, extra_vars,
+                        weakening, _plan_fingerprint(plan))
+    walk = hb.GRAPH_CACHE.get(key)
+    if walk is None:
+        walk = _walk(program, nprocs, extra_vars, plan, weakening)
+        hb.GRAPH_CACHE.put(key, walk)
+    return walk
 
 
 def undefined_payload_buffers(
@@ -666,23 +709,15 @@ def undefined_payload_buffers(
     parks them forever. Bit-for-bit payload comparisons (across
     lowerings, or across adversarial schedules) must exclude these
     buffers — their contents are lowering- and schedule-defined, not
-    program-defined.
+    program-defined. Reads the verifier's shared, unweakened walk.
     """
-    target = Target.parse(target)
-    plan = plan_synchronization(program)
-    variables_base: dict[str, int] = {"nprocs": nprocs, "size": nprocs}
-    if extra_vars:
-        variables_base.update(extra_vars)
-    key = hb.unroll_key(program.to_source(), nprocs, target.value,
-                        extra_vars, None, _plan_fingerprint(plan))
-    unroll = hb.GRAPH_CACHE.get(key)
-    if unroll is None:
-        unroll = _unroll(program, nprocs, target, variables_base, plan,
-                         None)
-        hb.GRAPH_CACHE.put(key, unroll)
+    walk = _shared_walk(program, nprocs, extra_vars,
+                        plan_synchronization(program), None, cache=True)
+    views = _label(walk.tracers, Target.parse(target))
+    _match(views)
     out: set[tuple[int, str]] = set()
-    for tracer in unroll.tracers:
-        for h in tracer.handles:
+    for view in views:
+        for h in view.handles:
             if h.kind != "send" or not h.dest_expr:
                 continue
             if h.matched is None:
@@ -709,67 +744,21 @@ def verify_program(program: Program, nprocs: int = 8,
     Unrolls every directive over ``nprocs`` ranks (a directive's own
     ``target`` clause overrides the default), replays ``plan`` (the
     consolidated synchronization schedule; computed when omitted), and
-    checks deadlock freedom, stale-read freedom, and consolidation
-    safety. ``weakening`` applies one of :data:`WEAKENINGS` to every
-    synchronization, mirroring the dynamic fuzzer's adversarial plans.
+    checks deadlock freedom, stale-read freedom, consolidation safety
+    and byte-interval race freedom. ``weakening`` applies one of
+    :data:`WEAKENINGS` to every synchronization, mirroring the dynamic
+    fuzzer's adversarial plans.
 
-    With ``cache=True`` (the default) the symbolic unroll — tracers
-    plus happens-before graph — is memoized in
-    :data:`repro.core.analysis.hb.GRAPH_CACHE`, keyed by the content
-    hash of (printed source, nprocs, extra_vars, target, weakening,
-    plan shape): the verify and race passes of a batch lint share one
-    graph per (program, nprocs, target) instead of rebuilding it.
+    The rank walk is keyed without the target and labelled per target
+    (see :func:`verify_all_targets`): with ``cache=True`` (the default)
+    it is memoized in :data:`repro.core.analysis.hb.GRAPH_CACHE`, so
+    verifying the same source for another target re-walks nothing.
     """
     target = Target.parse(target)
-    if weakening is not None and weakening not in WEAKENINGS:
-        raise ValueError(f"unknown weakening {weakening!r}; "
-                         f"expected one of {WEAKENINGS}")
-    if plan is None:
-        plan = plan_synchronization(program)
-    report = VerifyReport(target=target, nprocs=nprocs)
-
-    variables_base: dict[str, int] = {"nprocs": nprocs, "size": nprocs}
-    if extra_vars:
-        variables_base.update(extra_vars)
-
-    if report_unrollable:
-        report.diagnostics.extend(
-            _unrollable_diagnostics(program, variables_base, target))
-
-    unroll: hb.CachedUnroll | None = None
-    key = ""
-    if cache:
-        key = hb.unroll_key(program.to_source(), nprocs, target.value,
-                            extra_vars, weakening,
-                            _plan_fingerprint(plan))
-        unroll = hb.GRAPH_CACHE.get(key)
-    if unroll is None:
-        unroll = _unroll(program, nprocs, target, variables_base, plan,
-                         weakening)
-        if cache:
-            hb.GRAPH_CACHE.put(key, unroll)
-    tracers: list[_RankTracer] = list(unroll.tracers)
-    if unroll.graph is None:
-        report.graph = None
-        return report
-
-    graph = unroll.graph
-    report.graph = graph
-    report.tracers = tracers
-    loop_varying = _loop_varying_lines(program)
-    deadlocks = _deadlock_diagnostics(graph, target, loop_varying)
-    report.diagnostics.extend(deadlocks)
-    report.diagnostics.extend(_stale_read_diagnostics(tracers, target))
-    report.diagnostics.extend(
-        _consolidation_diagnostics(tracers, target))
-    if not any(d.severity == "error" for d in deadlocks):
-        # The race pass needs the executability fixpoint to order
-        # events (vector clocks); a refuted-deadlocked unroll has no
-        # meaningful clocks to reason over.
-        report.diagnostics.extend(race_diagnostics(
-            program, tracers, graph, target, loop_varying))
-    report.diagnostics.sort(key=lambda d: d.sort_key())
-    return report
+    return verify_all_targets(
+        program, nprocs=nprocs, extra_vars=extra_vars, plan=plan,
+        targets=[target], weakening=weakening,
+        report_unrollable=report_unrollable, cache=cache)[target]
 
 
 def verify_all_targets(program: Program, nprocs: int = 8,
@@ -781,18 +770,58 @@ def verify_all_targets(program: Program, nprocs: int = 8,
                        cache: bool = True) -> dict[Target, VerifyReport]:
     """Batch entry point: one :class:`VerifyReport` per lowering target.
 
-    The sync plan is computed once and shared across the sweep; the
-    unroll cache makes re-sweeps of the same source (the differential
-    oracle, the fix engine's proof gate, batch lints) near-free.
+    The ranks are walked once for the whole sweep: the walk (posts,
+    syncs, uses, downgrades) is a pure function of (printed source,
+    nprocs, extra_vars, weakening, plan shape) and records each
+    handle's own ``target`` clause only. Each swept target then labels
+    copies of the handles with its resolved target, matches them and
+    builds its happens-before graph. With ``cache=True`` the walk and
+    the race pass's target-independent accesses live in
+    :data:`repro.core.analysis.hb.GRAPH_CACHE`, so re-sweeps of the
+    same source (the differential oracle, the fix engine's proof gate,
+    batch lints verifying one target per call) re-walk nothing;
+    ``cache=False`` walks fresh, once per call.
     """
+    if weakening is not None and weakening not in WEAKENINGS:
+        raise ValueError(f"unknown weakening {weakening!r}; "
+                         f"expected one of {WEAKENINGS}")
     if plan is None:
         plan = plan_synchronization(program)
     swept = list(targets) if targets else list(Target)
-    return {target: verify_program(
-        program, nprocs=nprocs, target=target, extra_vars=extra_vars,
-        plan=plan, weakening=weakening,
-        report_unrollable=report_unrollable, cache=cache)
-        for target in swept}
+    walk = _shared_walk(program, nprocs, extra_vars, plan, weakening,
+                        cache)
+    loop_varying = _loop_varying_lines(program)
+    reports: dict[Target, VerifyReport] = {}
+    for target in swept:
+        report = VerifyReport(target=target, nprocs=nprocs)
+        reports[target] = report
+        if report_unrollable:
+            report.diagnostics.extend(_unrollable_diagnostics(
+                program, nprocs, extra_vars, target))
+        if not any(t.handles for t in walk.tracers):
+            continue
+        views = _label(walk.tracers, target)
+        _match(views)
+        graph = _build_graph(views, nprocs)
+        report.graph = graph
+        report.tracers = views
+        clocks = hb.vector_clocks(graph)
+        deadlocks = _deadlock_diagnostics(graph, clocks, target,
+                                          loop_varying)
+        report.diagnostics.extend(deadlocks)
+        report.diagnostics.extend(_stale_read_diagnostics(views, target))
+        report.diagnostics.extend(
+            _consolidation_diagnostics(views, target))
+        if not any(d.severity == "error" for d in deadlocks):
+            # The race pass orders events by their vector clocks; a
+            # refuted-deadlocked unroll has no meaningful clocks to
+            # reason over.
+            if walk.accesses is None:
+                walk.accesses = WalkAccesses(program)
+            report.diagnostics.extend(race_diagnostics(
+                views, clocks, target, loop_varying, walk.accesses))
+        report.diagnostics.sort(key=lambda d: d.sort_key())
+    return reports
 
 
 #: Names the unroller itself binds; anything else is a program value.
@@ -809,11 +838,7 @@ def _loop_varying_lines(program: Program) -> frozenset[int]:
     demoted from proofs to warnings.
     """
     lines: set[int] = set()
-    for node in program.all_p2p():
-        region = next((r for r in program.regions()
-                       if node in r.p2p_instances()), None)
-        clauses = (region.clauses.merged_into(node.clauses)
-                   if region is not None else node.clauses)
+    for node, region, clauses in program.p2p_clauses():
         # max_comm_iter is region-level only and stripped by the merge.
         iterates = ("max_comm_iter" in node.clauses.exprs
                     or (region is not None
@@ -832,18 +857,14 @@ def _loop_varying_lines(program: Program) -> frozenset[int]:
     return frozenset(lines)
 
 
-def _unrollable_diagnostics(program: Program,
-                            variables: dict[str, int],
+def _unrollable_diagnostics(program: Program, nprocs: int,
+                            extra_vars: dict[str, int] | None,
                             target: Target) -> list[Diagnostic]:
     """CI032 for directives whose clauses cannot be evaluated."""
     out: list[Diagnostic] = []
-    probe = dict(variables)
-    probe["rank"] = 0
-    for node in program.all_p2p():
-        region = next((r for r in program.regions()
-                       if node in r.p2p_instances()), None)
-        clauses = (region.clauses.merged_into(node.clauses)
-                   if region is not None else node.clauses)
+    probe: dict[str, int] = {"nprocs": nprocs, "size": nprocs,
+                             **(extra_vars or {}), "rank": 0}
+    for node, _region, clauses in program.p2p_clauses():
         if not all(clauses.has(n) for n in
                    ("sender", "receiver", "sbuf", "rbuf")):
             continue  # CI030 is the linter's finding

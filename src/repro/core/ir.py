@@ -232,6 +232,23 @@ class Program:
         walk(self.nodes)
         return out
 
+    def p2p_clauses(self) -> list[tuple[P2PNode, ParamRegionNode | None,
+                                        ClauseExprs]]:
+        """Every comm_p2p node with its top-level region (None when
+        standalone) and its effective clauses (the region's merged into
+        the instance's), in textual order."""
+        region_of: dict[int, ParamRegionNode] = {}
+        for region in self.regions():
+            for node in region.p2p_instances():
+                region_of.setdefault(id(node), region)
+        out: list[tuple[P2PNode, ParamRegionNode | None, ClauseExprs]] = []
+        for node in self.all_p2p():
+            owner = region_of.get(id(node))
+            out.append((node, owner,
+                        owner.clauses.merged_into(node.clauses)
+                        if owner is not None else node.clauses))
+        return out
+
     def adjacent_region_chains(self) -> list[list[ParamRegionNode]]:
         """Maximal runs of comm_parameters regions adjacent in the node
         sequence (only trivial raw code between them breaks nothing;

@@ -22,15 +22,14 @@ report, which is what keeps ``--jobs N`` output byte-identical to the
 sequential path.
 
 Every executed unit's wall time rides along in its result dict (and
-in the cache), so the lint benchmark can reconstruct modeled pool
-makespans from measured unit costs.
+in the cache); the run's stats sum them as ``executed_wall_s``.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.core.analysis.lint import (
@@ -169,8 +168,6 @@ class LintServiceStats:
     wall_s: float = 0.0
     #: Sum of executed units' own wall times (the work the pool did).
     executed_wall_s: float = 0.0
-    #: Per executed unit: (kind, wall seconds) — bench fodder.
-    unit_walls: list = field(default_factory=list)
     cache: dict | None = None
 
     @property
@@ -265,7 +262,6 @@ def lint_sources(sources: Sequence[tuple[str, str]], *,
     for spec in pending:
         result = results[spec]
         stats.executed_wall_s += result.get("wall_s", 0.0)
-        stats.unit_walls.append((spec.kind, result.get("wall_s", 0.0)))
         if cache is not None:
             cache.put(keys[spec], result)
 

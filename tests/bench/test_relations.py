@@ -4,12 +4,18 @@ Each test runs a reduced version of a paper experiment (three process
 counts, small payloads) under the calibrated Gemini model and asserts
 the claim's shape: who wins, by what factor, where the crossover lies.
 The bands are the ones EXPERIMENTS.md states; ``python -m repro.bench``
-prints the full sweeps.
+prints the full sweeps. The bands absorb a 10% drift of a model
+constant, so the Fig. 3 and Fig. 4 series are also pinned bit for bit
+(``float.hex``) in ``tests/bench/golden/figures.json``; after an
+intended model change, re-pin them with :func:`_hex_series` and say why
+in the change description.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +35,21 @@ from repro.patterns import get_pattern
 from repro.sim import Engine
 
 _MODEL = gemini_model()
+
+_FIGURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "golden", "figures.json")
+
+
+def _hex_series(fig) -> dict:
+    """A figure's x axis and series, each time as ``float.hex``."""
+    return {"xs": list(fig.xs),
+            "series": {label: [float(v).hex() for v in ys]
+                       for label, ys in fig.series.items()}}
+
+
+def _golden_figure(name: str) -> dict:
+    with open(_FIGURES, encoding="utf-8") as fh:
+        return json.load(fh)[name]
 
 
 class TestFigure3:
@@ -68,6 +89,9 @@ class TestFigure3:
         ms = [(p - 1) // 16 for p in fig3.xs]
         ratio = (ys[-1] / ys[0]) / (ms[-1] / ms[0])
         assert 0.5 < ratio < 2.0
+
+    def test_modeled_times_golden(self, fig3):
+        assert _hex_series(fig3) == _golden_figure("figure3")
 
 
 class TestFigure4:
@@ -116,6 +140,9 @@ class TestFigure4:
         shm_res = mean_speedup(fig4, self.ABLA, self.DSHM)
         assert 1.15 <= mpi_res <= 1.8, f"MPI residual {mpi_res:.2f}x"
         assert 8.0 <= shm_res <= 20.0, f"SHMEM residual {shm_res:.2f}x"
+
+    def test_modeled_times_golden(self, fig4):
+        assert _hex_series(fig4) == _golden_figure("figure4")
 
 
 class TestFigure5:

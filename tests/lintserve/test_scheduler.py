@@ -49,18 +49,23 @@ def test_one_parse_per_file(monkeypatch):
     assert sorted(calls) == sorted(source for _, source in sources)
 
 
-def test_one_wall_per_executed_unit(tmp_path):
+def test_one_wall_per_executed_unit(tmp_path, monkeypatch):
+    run = scheduler.run_file_units
+
+    def one_second_each(specs):
+        return [dict(out, wall_s=1.0) for out in run(specs)]
+
+    monkeypatch.setattr(scheduler, "run_file_units", one_second_each)
     sources = _sources()[:2]
     _, cold = lint_sources(sources, cache=ResultCache(tmp_path))
-    kinds = ["structure", "verify", "verify", "verify"]
-    assert [kind for kind, _ in cold.unit_walls] == kinds * 2
-    assert all(wall >= 0.0 for _, wall in cold.unit_walls)
-    assert cold.executed_wall_s == sum(w for _, w in cold.unit_walls)
+    assert cold.units_executed == 8
+    assert cold.executed_wall_s == 8.0
 
     edited = [sources[0], ("halo1d.c", sources[1][1] + "\n")]
     _, warm = lint_sources(edited, cache=ResultCache(tmp_path))
-    assert [kind for kind, _ in warm.unit_walls] == kinds
-    assert warm.units_executed == len(warm.unit_walls) == 4
+    assert warm.units_from_cache == 4
+    assert warm.units_executed == 4
+    assert warm.executed_wall_s == 4.0
 
 
 def _sequential(sources):
