@@ -212,20 +212,25 @@ def lint_program(program: Program, nprocs: int = 8,
     net-model estimated saving for the first swept target under
     ``model`` (default: the calibrated Gemini model).
 
-    The pass is assembled from independently runnable units —
-    :func:`structure_report`, one :func:`verify_target_diagnostics`
-    per swept target, :func:`advise_diagnostics` — merged by
+    The pass is assembled from per-file pieces that share one sync
+    plan: :func:`structure_report`, one
+    :func:`~repro.core.analysis.verify.verify_all_targets` sweep over
+    the swept targets (one rank walk, one printed source, one walk key
+    for all of them) and :func:`advise_diagnostics`, merged by
     :func:`collapse_across_targets` + :func:`finalize_report`. The
-    sharded lint service (:mod:`repro.lintserve`) runs the same units
-    in worker processes and merges them with the same functions, which
-    is what makes its output byte-identical to this sequential path.
+    sharded lint service (:mod:`repro.lintserve`) runs the same pieces
+    once per file in worker processes and merges them with the same
+    functions, which is what makes its output byte-identical to this
+    sequential path.
     """
     swept = list(targets) if targets else list(Target)
     plan = plan_synchronization(program)
     report = structure_report(program, nprocs, extra_vars, path,
                               targets=swept, plan=plan)
-    per_target = {t.value: verify_target_diagnostics(
-        program, nprocs, extra_vars, t, plan=plan) for t in swept}
+    verdicts = verify_all_targets(program, nprocs=nprocs,
+                                  extra_vars=extra_vars, plan=plan,
+                                  targets=swept)
+    per_target = {t.value: verdicts[t].diagnostics for t in swept}
     collapsed = collapse_across_targets(
         per_target, [t.value for t in swept])
     advisories = (advise_diagnostics(program, nprocs, extra_vars,
@@ -239,7 +244,7 @@ def structure_report(program: Program, nprocs: int = 8,
                      path: str = "", *,
                      targets: list[Target] | None = None,
                      plan: SyncPlan | None = None) -> LintReport:
-    """The target-independent lint unit.
+    """The target-independent part of one file's lint.
 
     Headline numbers (directive/region counts, sync-plan
     consolidation), CI021 forced-split findings, and the per-directive
@@ -272,24 +277,6 @@ def structure_report(program: Program, nprocs: int = 8,
     return report
 
 
-def verify_target_diagnostics(program: Program, nprocs: int,
-                              extra_vars: dict[str, int] | None,
-                              target: Target, *,
-                              plan: SyncPlan | None = None
-                              ) -> list[Diagnostic]:
-    """One lowering target's whole-program verifier unit.
-
-    The smallest shardable verification quantum: a pure function of
-    (program, nprocs, extra_vars, target). The returned diagnostics
-    carry no ``target`` tag yet — :func:`collapse_across_targets`
-    assigns tags when the per-target lists are merged.
-    """
-    verdicts = verify_all_targets(program, nprocs=nprocs,
-                                  extra_vars=extra_vars, plan=plan,
-                                  targets=[target])
-    return list(verdicts[target].diagnostics)
-
-
 def advise_diagnostics(program: Program, nprocs: int,
                        extra_vars: dict[str, int] | None,
                        swept: list[Target],
@@ -311,7 +298,7 @@ def collapse_across_targets(per_target: dict[str, list[Diagnostic]],
     A finding produced with the same (code, line, directive, message)
     on every swept target is target-independent: collapse to
     ``target="*"``. ``per_target`` maps target *values* to the
-    diagnostics of that target's verify unit; ``swept`` fixes the
+    diagnostics of that target's verifier report; ``swept`` fixes the
     iteration order (first-seen order decides output order, exactly as
     the sequential sweep produced it).
     """
@@ -345,7 +332,7 @@ def collapse_across_targets(per_target: dict[str, list[Diagnostic]],
 def finalize_report(report: LintReport,
                     verifier: list[Diagnostic],
                     advisories: list[Diagnostic]) -> LintReport:
-    """Merge unit outputs into the final report (in place).
+    """Merge the per-file pieces into the final report (in place).
 
     Appends the collapsed verifier findings and the advisories to the
     structure report, drops shadowed findings, and sorts — the last

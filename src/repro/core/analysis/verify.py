@@ -779,7 +779,7 @@ def verify_all_targets(program: Program, nprocs: int = 8,
     the race pass's target-independent accesses live in
     :data:`repro.core.analysis.hb.GRAPH_CACHE`, so re-sweeps of the
     same source (the differential oracle, the fix engine's proof gate,
-    batch lints verifying one target per call) re-walk nothing;
+    per-target :func:`verify_program` calls) re-walk nothing;
     ``cache=False`` walks fresh, once per call.
     """
     if weakening is not None and weakening not in WEAKENINGS:

@@ -257,12 +257,13 @@ def main_lint(argv: list[str] | None = None) -> int:
     service = parser.add_argument_group(
         "sharded lint service (repro.lintserve; docs/LINTSERVE.md)")
     service.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="fan (file x target) analysis units over "
-                              "N worker processes; output stays "
+                         help="fan per-file lint tasks over N "
+                              "worker processes; output stays "
                               "byte-identical to the sequential path")
     service.add_argument("--cache-dir", metavar="DIR", default=None,
-                         help="memoize unit results on disk (keyed by "
-                              "content hash + analysis-version salt); "
+                         help="memoize per-file results on disk "
+                              "(keyed by content hash + "
+                              "analysis-version salt); "
                               "re-lints of unchanged files cost one "
                               "hash lookup")
     service.add_argument("--stats-out", metavar="FILE", default=None,

@@ -5,13 +5,13 @@ verification is cheap enough to run on every commit. Verification
 cost is per (program, nprocs, target) and embarrassingly parallel, so
 this package turns the one-shot ``repro-lint`` CLI into a service:
 
-* :mod:`~repro.lintserve.scheduler` fans (files × targets) work units
-  over a ``ProcessPoolExecutor`` and merges results deterministically
-  — ``--jobs N`` output is byte-identical to the sequential path;
-* :mod:`~repro.lintserve.cache` memoizes unit results on disk, keyed
-  by content hash + an analysis-version salt, so re-lints of an
-  unchanged tree cost one hash lookup per unit (``--cache-dir``);
-* :mod:`~repro.lintserve.merge` owns unit (de)serialization and the
+* :mod:`~repro.lintserve.scheduler` fans per-file lint tasks over a
+  ``ProcessPoolExecutor`` and merges results deterministically —
+  ``--jobs N`` output is byte-identical to the sequential path;
+* :mod:`~repro.lintserve.cache` memoizes each file's result on disk,
+  keyed by content hash + an analysis-version salt, so re-lints of an
+  unchanged tree cost one hash lookup per file (``--cache-dir``);
+* :mod:`~repro.lintserve.merge` owns result (de)serialization and the
   byte-identical report assembly both of the above rely on;
 * :mod:`~repro.lintserve.daemon` keeps a warm pool + cache behind a
   unix socket for editor/CI reuse (``--serve``).
@@ -35,19 +35,19 @@ from repro.lintserve.daemon import (
 )
 from repro.lintserve.merge import assemble_file_report
 from repro.lintserve.scheduler import (
+    FileTask,
     LintServiceStats,
-    UnitSpec,
     lint_sources,
     pool_map,
 )
 
 __all__ = [
+    "FileTask",
     "LintDaemon",
     "LintRequest",
     "LintServiceStats",
     "MemoryCache",
     "ResultCache",
-    "UnitSpec",
     "analysis_salt",
     "assemble_file_report",
     "execute_request",

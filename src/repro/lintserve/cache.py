@@ -1,6 +1,6 @@
-"""On-disk memoization of analysis-unit results.
+"""On-disk memoization of per-file lint results and oracle verdicts.
 
-Verification cost is a pure function of its inputs: every lint unit
+Verification cost is a pure function of its inputs: every file's lint
 (:mod:`repro.lintserve.scheduler`) and every differential-oracle check
 (:mod:`repro.gen.oracle`) is deterministic in (source text, world
 size, variable bindings, target sweep) — *and* in the analysis code
@@ -9,22 +9,25 @@ itself. The cache therefore keys each result by a content hash over
 * an **analysis-version salt** — a digest of every ``repro`` source
   file, so editing any analyzer (or the simulator the oracle runs)
   invalidates the whole cache rather than serving stale verdicts;
-* the **unit kind** (``structure`` / ``verify`` / ``advise`` /
-  ``diffgen``);
-* the unit's **payload** — the raw source text plus the parameters the
-  unit is a function of (nprocs, extra vars, target, oracle config).
+* the **kind** (``lint`` / ``diffgen``);
+* the **payload** — the raw source text plus the parameters the
+  result is a function of (nprocs, extra vars, target sweep,
+  ``--advise``, oracle config).
 
 This is the same content-hash idiom the fix ledger uses for rewrite
 signatures and :func:`repro.core.analysis.hb.unroll_key` uses for the
 in-process graph cache, extended with the version salt and persisted
 to disk: a re-lint of an unchanged tree costs one hash lookup per
-unit, and editing one file invalidates exactly that file's units.
+file, and editing one file invalidates exactly that file's entry.
 
-Entries are one JSON file each under ``<root>/objects/<k[:2]>/<k>.json``
-written atomically (temp file + ``os.replace``), so concurrent
-writers — pool workers, a daemon, parallel CI shards sharing a
-restored cache — can never publish a torn entry. A corrupt or
-truncated entry is treated as a miss and deleted.
+Entries are one JSON file each, flat under ``<root>/objects/<k>.json``
+(one entry per linted file keeps even a large tree well within one
+directory; the ``objects`` directory is created on the first store
+that finds it missing). Each is written atomically (temp file +
+``os.replace``), so concurrent writers — pool workers, a daemon,
+parallel CI shards sharing a restored cache — can never publish a
+torn entry. A corrupt or truncated entry is treated as a miss and
+deleted.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def unit_key(kind: str, payload: object, salt: str | None = None) -> str:
 
 
 class ResultCache:
-    """Content-addressed store of JSON unit results with hit counters."""
+    """Content-addressed store of JSON results with hit counters."""
 
     def __init__(self, root: str | Path,
                  salt: str | None = None) -> None:
@@ -91,11 +94,11 @@ class ResultCache:
         self.stores = 0
 
     def key(self, kind: str, payload: object) -> str:
-        """The cache key for one unit (see :func:`unit_key`)."""
+        """The cache key for one result (see :func:`unit_key`)."""
         return unit_key(kind, payload, self.salt)
 
     def _path(self, key: str) -> Path:
-        return self.root / "objects" / key[:2] / f"{key}.json"
+        return self.root / "objects" / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
         """The stored result for ``key``, or ``None`` on a miss."""
@@ -125,11 +128,18 @@ class ResultCache:
     def put(self, key: str, value: dict) -> None:
         """Store ``value`` under ``key`` atomically."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        data = json.dumps(value, separators=(",", ":")).encode()
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(value, fh, separators=(",", ":"))
+            try:
+                fh = open(tmp, "wb")
+            except FileNotFoundError:
+                # The first store under this root (or ``objects/`` was
+                # removed since): create the directory, then retry.
+                tmp.parent.mkdir(parents=True, exist_ok=True)
+                fh = open(tmp, "wb")
+            with fh:
+                fh.write(data)
             os.replace(tmp, path)
         except OSError:
             # Cache writes are best-effort: a full disk or unwritable

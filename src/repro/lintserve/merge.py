@@ -1,14 +1,15 @@
-"""Deterministic merge of sharded unit results into lint reports.
+"""Deterministic merge of per-file slot maps into lint reports.
 
-The scheduler fans a file's analysis into independent units
-(structure, one verifier sweep per lowering target, optionally the
-advisor); workers return each unit as a JSON-serializable dict so
-results can cross process boundaries and live in the on-disk cache
-(:mod:`repro.lintserve.cache`). This module owns both directions:
+The scheduler lints each file into a map of result *slots*
+(``structure``, one ``verify:<target>`` per swept lowering target,
+optionally ``advise``); workers return the map as JSON-serializable
+dicts so results can cross process boundaries and live in the on-disk
+cache (:mod:`repro.lintserve.cache`) as one entry per file. This
+module owns both directions:
 
-* :func:`serialize_*` — unit output → plain dict (what workers return
-  and the cache stores);
-* :func:`assemble_file_report` — the dicts of one file's units →
+* :func:`serialize_*` — analysis output → plain dict (what workers
+  return and the cache stores);
+* :func:`assemble_file_report` — one file's slot map →
   :class:`~repro.core.analysis.lint.LintReport`, using the *same*
   collapse/suppress/sort functions the sequential
   :func:`~repro.core.analysis.lint.lint_program` path runs.
@@ -16,7 +17,7 @@ results can cross process boundaries and live in the on-disk cache
 Because diagnostics round-trip exactly
 (:func:`~repro.core.analysis.codes.diagnostic_from_dict`) and the
 merge functions are shared, a report assembled from sharded (or
-cached) units renders byte-identically to the sequential path —
+cached) slot maps renders byte-identically to the sequential path —
 ``tests/lintserve/test_determinism.py`` pins this over the whole
 examples tree in JSON and SARIF.
 """
@@ -50,7 +51,7 @@ def serialize_diagnostics(diags: list[Diagnostic]) -> list[dict]:
 
 
 def serialize_structure(report: LintReport) -> dict:
-    """The structure unit's report fields → JSON-ready dict."""
+    """The structure slot's report fields → JSON-ready dict."""
     return {
         "n_directives": report.n_directives,
         "n_regions": report.n_regions,
@@ -78,17 +79,17 @@ def parse_error_report(path: str, error: dict) -> LintReport:
     return report
 
 
-def assemble_file_report(path: str, units: dict[str, dict],
+def assemble_file_report(path: str, slots: dict[str, dict],
                          swept: list[Target],
                          advise: bool) -> LintReport:
-    """Merge one file's unit results into its final report.
+    """Merge one file's slot map into its final report.
 
-    ``units`` maps unit names — ``"structure"``,
-    ``"verify:<target>"``, ``"advise"`` — to worker/cache dicts. Any
-    unit reporting a parse error collapses the file to the CI000
-    report (every unit parses the same source, so all agree).
+    ``slots`` maps slot names — ``"structure"``,
+    ``"verify:<target>"``, ``"advise"`` — to worker/cache dicts. A
+    ``parse_error`` in the structure slot (the only slot a broken
+    file has) collapses the file to the CI000 report.
     """
-    structure = units["structure"]
+    structure = slots["structure"]
     if "parse_error" in structure:
         return parse_error_report(path, structure["parse_error"])
 
@@ -104,11 +105,11 @@ def assemble_file_report(path: str, units: dict[str, dict],
 
     per_target: dict[str, list[Diagnostic]] = {}
     for value in swept_values:
-        unit = units[f"verify:{value}"]
-        per_target[value] = _deserialize_diags(unit["diagnostics"])
+        per_target[value] = _deserialize_diags(
+            slots[f"verify:{value}"]["diagnostics"])
     collapsed = collapse_across_targets(per_target, swept_values)
 
     advisories: list[Diagnostic] = []
     if advise:
-        advisories = _deserialize_diags(units["advise"]["diagnostics"])
+        advisories = _deserialize_diags(slots["advise"]["diagnostics"])
     return finalize_report(report, collapsed, advisories)

@@ -1,28 +1,30 @@
-"""Work-sharded lint driver: files × targets fanned over a pool.
+"""Work-sharded lint driver: one task and one cache entry per file.
 
-The unit of memoization is deliberately smaller than a file: one
-file's lint decomposes into a target-independent **structure** unit,
-one **verify** unit per swept lowering target, and (under
-``--advise``) one **advisor** unit — the decomposition
-:func:`repro.core.analysis.lint.lint_program` itself is built from.
-Each unit is a pure function of (source text, nprocs, extra vars,
-target), so units memoize independently: a 1000-file tree at three
-targets is ~4000 cache entries, and an incremental re-lint re-executes
-only the units of files that changed.
+The unit of memoization and of execution is one file: its lint is a
+pure function of (source text, nprocs, extra vars, swept targets,
+advise), the :class:`FileTask`. A task parses the source once, plans
+its synchronization once, runs the verifier once for the whole target
+sweep (one rank walk serves every target) and fills the file's result
+*slots* — the decomposition
+:func:`repro.core.analysis.lint.lint_program` itself is built from:
+the target-independent ``structure`` slot, one ``verify:<target>``
+slot per swept target and, under ``--advise``, the ``advise`` slot.
+The slot map is what a worker returns, what the cache stores under
+the task's key and what :mod:`repro.lintserve.merge` assembles, so a
+1000-file tree is 1000 cache entries and an incremental re-lint
+re-executes only the files that changed. Files with the same task in
+one call (a copied file) run once and are stored once.
 
-The unit of *execution* is one file's pending units
-(:func:`run_file_units`): they share one parse and one sync plan, as
-``lint_program`` shares them, and the pool fans those per-file tasks.
-
-Scheduling is deterministic-by-construction: units are *generated* in
+Scheduling is deterministic-by-construction: tasks are *generated* in
 file order, *executed* in any order (``ProcessPoolExecutor.map`` over
-the cache misses), and *merged* strictly in generation order by
+the cache misses), and *merged* strictly in file order by
 :mod:`repro.lintserve.merge` — completion order never influences the
 report, which is what keeps ``--jobs N`` output byte-identical to the
 sequential path.
 
-Every executed unit's wall time rides along in its result dict (and
-in the cache); the run's stats sum them as ``executed_wall_s``.
+Every executed slot's wall time rides along in its result dict (and
+in the cache); the run's stats sum them as ``executed_wall_s`` and
+count ``units_*`` in slots.
 """
 
 from __future__ import annotations
@@ -30,15 +32,15 @@ from __future__ import annotations
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.core.analysis.lint import (
     LintReport,
     advise_diagnostics,
     structure_report,
-    verify_target_diagnostics,
 )
 from repro.core.analysis.syncopt import plan_synchronization
+from repro.core.analysis.verify import verify_all_targets
 from repro.core.clauses import Target
 from repro.core.pragma import parse_program
 from repro.errors import ReproError
@@ -49,111 +51,69 @@ from repro.lintserve.merge import (
     serialize_structure,
 )
 
-__all__ = ["LintServiceStats", "UnitSpec", "lint_sources", "pool_map",
+__all__ = ["FileTask", "LintServiceStats", "lint_sources", "pool_map",
            "run_file_units"]
 
 
-@dataclass(frozen=True)
-class UnitSpec:
-    """One shardable quantum of lint work (picklable, hashable)."""
+class FileTask(NamedTuple):
+    """One file's lint inputs: the pool task and the cache-key payload.
 
-    path: str            # display path (not part of the cache key)
-    kind: str            # "structure" | "verify" | "advise"
-    target: str          # target value for verify units, else ""
+    The display path is deliberately absent — a renamed-but-unchanged
+    file must hit.
+    """
+
     source: str          # the file's text (workers never touch disk)
     nprocs: int
     extra_vars: tuple[tuple[str, int], ...]
     swept: tuple[str, ...]
-
-    @property
-    def name(self) -> str:
-        """The unit's slot in its file's result map."""
-        return f"verify:{self.target}" if self.kind == "verify" \
-            else self.kind
-
-    def payload(self) -> tuple:
-        """The cache-key payload: every input the unit depends on.
-
-        The path is deliberately excluded — a renamed-but-unchanged
-        file must hit. ``swept`` participates only where it matters
-        (the advisor picks its target from the sweep).
-        """
-        if self.kind == "verify":
-            return (self.source, self.nprocs, self.extra_vars,
-                    self.target)
-        if self.kind == "advise":
-            return (self.source, self.nprocs, self.extra_vars,
-                    self.swept)
-        return (self.source, self.nprocs, self.extra_vars)
+    advise: bool
 
 
-def run_file_units(specs: Sequence[UnitSpec]) -> list[dict]:
-    """Execute one file's pending units (in a pool worker or inline).
+def run_file_units(task: FileTask) -> dict[str, dict]:
+    """Lint one file (in a pool worker or inline) into its slot map.
 
-    ``specs`` share (source, nprocs, extra vars, sweep), so they run
-    against one parse and one sync plan, as in ``lint_program``. Each
-    result carries the wall time since the previous one, so the first
-    unit's ``wall_s`` includes the shared parse and plan.
+    One parse, one sync plan and one verifier sweep serve every slot,
+    as in ``lint_program``. Each slot carries its share of the file's
+    wall time: ``structure`` the parse, plan and per-directive checks,
+    each ``verify:<target>`` an equal share of the one sweep, and
+    ``advise`` the advisor.
 
-    A parse failure is a *result*, not an exception — every unit of a
-    broken file reports the same ``parse_error`` and the merge turns
-    it into the CI000 report, exactly like the sequential CLI.
+    A parse failure is a *result*, not an exception: the map holds
+    only a ``structure`` slot with the ``parse_error``, which the
+    merge turns into the CI000 report, exactly like the sequential
+    CLI.
     """
-    t_prev = time.perf_counter()
-    first = specs[0]
-    extra_vars = dict(first.extra_vars) or None
-    swept = [Target.parse(t) for t in first.swept]
+    t_start = time.perf_counter()
+    extra_vars = dict(task.extra_vars) or None
+    swept = [Target.parse(t) for t in task.swept]
     try:
-        program = parse_program(first.source)
+        program = parse_program(task.source)
     except ReproError as exc:
         line = getattr(exc, "line", None) or 0
-        error = {"line": line, "message": str(exc)}
-        program = None
-    else:
-        plan = plan_synchronization(program)
-    results: list[dict] = []
-    for spec in specs:
-        out: dict
-        if program is None:
-            out = {"parse_error": dict(error)}
-        elif spec.kind == "structure":
-            report = structure_report(program, spec.nprocs, extra_vars,
-                                      spec.path, targets=swept,
-                                      plan=plan)
-            out = serialize_structure(report)
-        elif spec.kind == "verify":
-            diags = verify_target_diagnostics(
-                program, spec.nprocs, extra_vars,
-                Target.parse(spec.target), plan=plan)
-            out = {"diagnostics": serialize_diagnostics(diags)}
-        elif spec.kind == "advise":
-            diags = advise_diagnostics(program, spec.nprocs, extra_vars,
-                                       swept)
-            out = {"diagnostics": serialize_diagnostics(diags)}
-        else:
-            raise ValueError(f"unknown unit kind {spec.kind!r}")
-        now = time.perf_counter()
-        out["wall_s"] = now - t_prev
-        t_prev = now
-        results.append(out)
-    return results
-
-
-def file_units(path: str, source: str, nprocs: int,
-               extra_vars: dict[str, int] | None,
-               swept: Sequence[Target],
-               advise: bool) -> list[UnitSpec]:
-    """The unit decomposition of one file, in merge order."""
-    vars_t = tuple(sorted((extra_vars or {}).items()))
-    swept_t = tuple(t.value for t in swept)
-    units = [UnitSpec(path, "structure", "", source, nprocs, vars_t,
-                      swept_t)]
-    units.extend(UnitSpec(path, "verify", value, source, nprocs,
-                          vars_t, swept_t) for value in swept_t)
-    if advise:
-        units.append(UnitSpec(path, "advise", "", source, nprocs,
-                              vars_t, swept_t))
-    return units
+        return {"structure": {
+            "parse_error": {"line": line, "message": str(exc)},
+            "wall_s": time.perf_counter() - t_start}}
+    plan = plan_synchronization(program)
+    out = {"structure": serialize_structure(structure_report(
+        program, task.nprocs, extra_vars, targets=swept, plan=plan))}
+    t_verify = time.perf_counter()
+    out["structure"]["wall_s"] = t_verify - t_start
+    verdicts = verify_all_targets(program, nprocs=task.nprocs,
+                                  extra_vars=extra_vars, plan=plan,
+                                  targets=swept)
+    t_done = time.perf_counter()
+    share = (t_done - t_verify) / len(swept)
+    for target in swept:
+        out[f"verify:{target.value}"] = {
+            "diagnostics": serialize_diagnostics(
+                verdicts[target].diagnostics),
+            "wall_s": share}
+    if task.advise:
+        diags = advise_diagnostics(program, task.nprocs, extra_vars,
+                                   swept)
+        out["advise"] = {"diagnostics": serialize_diagnostics(diags),
+                         "wall_s": time.perf_counter() - t_done}
+    return out
 
 
 @dataclass
@@ -222,56 +182,50 @@ def lint_sources(sources: Sequence[tuple[str, str]], *,
     """Lint ``(path, source)`` pairs through the sharded/memoized path.
 
     Returns the reports in input order plus the run's scheduling
-    stats. With ``cache`` set, units hit the on-disk store before the
-    pool; with ``jobs > 1`` the remaining units fan over a
-    ``ProcessPoolExecutor`` (or the caller's warm ``executor``).
+    stats. With ``cache`` set, each distinct file task does one lookup
+    before the pool and, on a miss, one store after it; with
+    ``jobs > 1`` the missed tasks fan over a ``ProcessPoolExecutor``
+    (or the caller's warm ``executor``).
     """
     t_start = time.perf_counter()
     swept = list(targets) if targets else list(Target)
+    vars_t = tuple(sorted((extra_vars or {}).items()))
+    swept_t = tuple(t.value for t in swept)
     stats = LintServiceStats(files=len(sources), jobs=max(1, jobs))
 
-    units: list[UnitSpec] = []
-    for path, source in sources:
-        units.extend(file_units(path, source, nprocs, extra_vars,
-                                swept, advise))
-    stats.units_total = len(units)
-
-    results: dict[UnitSpec, dict] = {}
-    pending: list[UnitSpec] = []
-    keys: dict[UnitSpec, str] = {}
-    for spec in units:
+    tasks = [FileTask(source, nprocs, vars_t, swept_t, advise)
+             for _path, source in sources]
+    results: dict[FileTask, dict[str, dict]] = {}
+    pending: list[FileTask] = []
+    keys: dict[FileTask, str] = {}
+    for task in dict.fromkeys(tasks):
         if cache is not None:
-            key = cache.key(spec.kind, spec.payload())
-            keys[spec] = key
+            keys[task] = key = cache.key("lint", task)
             hit = cache.get(key)
             if hit is not None:
-                results[spec] = hit
+                results[task] = hit
                 continue
-        pending.append(spec)
+        pending.append(task)
+    executed = set(pending)
 
-    stats.units_from_cache = len(results)
-    stats.units_executed = len(pending)
-    by_file: dict[tuple, list[UnitSpec]] = {}
-    for spec in pending:
-        by_file.setdefault((spec.source, spec.nprocs, spec.extra_vars,
-                            spec.swept), []).append(spec)
-    groups = list(by_file.values())
-    for group, outs in zip(groups, pool_map(run_file_units, groups,
-                                            jobs, executor)):
-        results.update(zip(group, outs))
-    for spec in pending:
-        result = results[spec]
-        stats.executed_wall_s += result.get("wall_s", 0.0)
+    for task, slots in zip(pending, pool_map(run_file_units, pending,
+                                             jobs, executor)):
+        results[task] = slots
+        stats.executed_wall_s += sum(slot["wall_s"]
+                                     for slot in slots.values())
         if cache is not None:
-            cache.put(keys[spec], result)
+            cache.put(keys[task], slots)
 
+    # structure, one verify:<target> per swept target, advise
+    n_slots = 1 + len(swept) + int(advise)
+    stats.units_total = n_slots * len(sources)
     reports: list[LintReport] = []
-    for path, source in sources:
-        file_specs = file_units(path, source, nprocs, extra_vars,
-                                swept, advise)
-        named = {spec.name: results[spec] for spec in file_specs}
-        reports.append(
-            assemble_file_report(path, named, swept, advise))
+    for (path, _source), task in zip(sources, tasks):
+        if task in executed:
+            stats.units_executed += n_slots
+        reports.append(assemble_file_report(path, results[task], swept,
+                                            advise))
+    stats.units_from_cache = stats.units_total - stats.units_executed
     stats.wall_s = time.perf_counter() - t_start
     if cache is not None:
         stats.cache = cache.stats()

@@ -20,11 +20,13 @@ import os
 import pytest
 
 from repro.core.analysis import hb, verify
+from repro.core.analysis.lint import lint_program
 from repro.core.analysis.verify import (
     WEAKENINGS,
     verify_all_targets,
 )
 from repro.core.clauses import Target
+from repro.core.ir import Program
 from repro.core.pragma import parse_program
 from repro.gen.generator import generate_many
 
@@ -158,6 +160,28 @@ def test_per_target_verifiers_share_the_walk(walks):
     program = parse_program(MIXED)
     for target in Target:
         verify_all_targets(program, nprocs=4, targets=[target])
+    assert walks == [0, 1, 2, 3]
+
+
+def test_lint_prints_and_keys_the_source_once(walks, monkeypatch):
+    """``lint_program`` runs one verifier sweep for all three targets:
+    one printed source and one walk key, not one per target."""
+    printed: list[int] = []
+    keyed: list[int] = []
+    to_source, unroll_key = Program.to_source, hb.unroll_key
+
+    def counting_print(self):
+        printed.append(1)
+        return to_source(self)
+
+    def counting_key(*args):
+        keyed.append(1)
+        return unroll_key(*args)
+
+    monkeypatch.setattr(Program, "to_source", counting_print)
+    monkeypatch.setattr(hb, "unroll_key", counting_key)
+    lint_program(parse_program(MIXED), nprocs=4)
+    assert (len(printed), len(keyed)) == (1, 1)
     assert walks == [0, 1, 2, 3]
 
 

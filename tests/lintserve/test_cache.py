@@ -1,59 +1,69 @@
-"""Cache keying and the on-disk result store.
+"""Cache keying, the on-disk result store and the lint's use of it.
 
 The keying invariants are what make memoization *safe*: the display
 path must not participate (rename hits), every analysis input must
 (edit misses), and the analysis-version salt must (toolchain edit
-invalidates everything).
+invalidates everything). The lint stores one entry per distinct file,
+flat under ``objects/``.
 """
 
 import json
+import shutil
+from pathlib import Path
 
+from repro.core.analysis.lint import lint_program
 from repro.core.clauses import Target
+from repro.core.pragma import parse_program
+from repro.core.pragma.__main__ import render_reports
 from repro.lintserve import (
+    FileTask,
     MemoryCache,
     ResultCache,
-    UnitSpec,
     analysis_salt,
+    lint_sources,
     unit_key,
 )
 
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "pragmas"
+
 SRC = "double buf[8];\n"
+ALL = tuple(t.value for t in Target)
 
 
-def _spec(path="a.c", source=SRC, nprocs=8, target=""):
-    return UnitSpec(path=path, kind="structure", target=target,
-                    source=source, nprocs=nprocs, extra_vars=(),
-                    swept=tuple(t.value for t in Target))
+def _task(source=SRC, nprocs=8, extra_vars=(), swept=ALL, advise=False):
+    return FileTask(source, nprocs, extra_vars, swept, advise)
 
 
 def test_rename_hits_edit_misses():
-    a, b = _spec(path="a.c"), _spec(path="b/renamed.c")
-    assert a.payload() == b.payload()
-    assert unit_key("structure", a.payload()) == \
-        unit_key("structure", b.payload())
-    edited = _spec(source=SRC + "\n")
-    assert unit_key("structure", a.payload()) != \
-        unit_key("structure", edited.payload())
+    # The display path is not a lint input: a renamed file is the
+    # same task and so the same key.
+    assert "path" not in FileTask._fields
+    assert unit_key("lint", _task()) == unit_key("lint", _task())
+    assert unit_key("lint", _task()) != \
+        unit_key("lint", _task(source=SRC + "\n"))
 
 
 def test_every_analysis_input_participates():
-    base = unit_key("structure", _spec().payload())
-    assert unit_key("structure", _spec(nprocs=4).payload()) != base
-    assert unit_key("verify", _spec().payload()) != base
+    base = unit_key("lint", _task())
+    variants = [_task(nprocs=4), _task(extra_vars=(("px", 3),)),
+                _task(swept=ALL[:1]), _task(advise=True)]
+    keys = {unit_key("lint", task) for task in variants}
+    assert base not in keys and len(keys) == len(variants)
+    assert unit_key("diffgen", _task()) != base
 
 
 def test_salt_participates():
-    payload = _spec().payload()
-    assert unit_key("structure", payload, salt="v1") != \
-        unit_key("structure", payload, salt="v2")
+    payload = _task()
+    assert unit_key("lint", payload, salt="v1") != \
+        unit_key("lint", payload, salt="v2")
     # The default salt is the real analysis digest, stable in-process.
-    assert unit_key("structure", payload) == \
-        unit_key("structure", payload, salt=analysis_salt())
+    assert unit_key("lint", payload) == \
+        unit_key("lint", payload, salt=analysis_salt())
 
 
 def test_disk_roundtrip_and_counters(tmp_path):
     cache = ResultCache(tmp_path)
-    key = cache.key("structure", _spec().payload())
+    key = cache.key("lint", _task())
     assert cache.get(key) is None
     cache.put(key, {"n": 1})
     assert cache.get(key) == {"n": 1}
@@ -67,7 +77,7 @@ def test_disk_roundtrip_and_counters(tmp_path):
 
 def test_corrupt_entry_is_a_miss_and_deleted(tmp_path):
     cache = ResultCache(tmp_path)
-    key = cache.key("structure", _spec().payload())
+    key = cache.key("lint", _task())
     cache.put(key, {"n": 1})
     path = cache._path(key)
     path.write_text("{truncated")
@@ -86,3 +96,84 @@ def test_memory_cache_counters():
     cache.put(key, {"ok": True})
     assert cache.get(key) == {"ok": True}
     assert (cache.hits, cache.misses) == (1, 1)
+
+
+def test_lazy_mkdir_survives_a_removed_objects_dir(tmp_path):
+    cache = ResultCache(tmp_path)
+    first, second = (cache.key("lint", _task(nprocs=n)) for n in (2, 4))
+    cache.put(first, {"n": 1})
+    shutil.rmtree(tmp_path / "objects")
+    cache.put(second, {"n": 2})
+    assert cache.stores == 2
+    assert ResultCache(tmp_path).get(second) == {"n": 2}
+
+
+def _sources():
+    return [(name, (EXAMPLES / name).read_text())
+            for name in ("ring.c", "halo1d.c", "evenodd.c")]
+
+
+def _entries(root):
+    return sorted((root / "objects").glob("*.json"))
+
+
+def test_one_flat_entry_per_file_and_a_fully_memoized_warm_run(
+        tmp_path):
+    sources = _sources()
+    n = len(sources)
+    cache = ResultCache(tmp_path)
+    cold, cold_stats = lint_sources(sources, cache=cache)
+    assert (cache.misses, cache.stores) == (n, n)
+    assert cold_stats.units_executed == cold_stats.units_total == 4 * n
+    assert len(_entries(tmp_path)) == n
+    assert list((tmp_path / "objects").iterdir()) == \
+        list((tmp_path / "objects").glob("*.json"))
+
+    warm_cache = ResultCache(tmp_path)
+    warm, warm_stats = lint_sources(sources, cache=warm_cache)
+    assert (warm_cache.hits, warm_cache.misses, warm_cache.stores) == \
+        (n, 0, 0)
+    assert warm_stats.units_executed == 0
+    for fmt in ("json", "sarif"):
+        assert render_reports(warm, fmt) == render_reports(cold, fmt)
+
+
+def test_duplicate_sources_are_linted_and_stored_once(tmp_path):
+    ring = (EXAMPLES / "ring.c").read_text()
+    cache = ResultCache(tmp_path)
+    reports, stats = lint_sources([("ring.c", ring),
+                                   ("copy/ring.c", ring)], cache=cache)
+    assert (cache.misses, cache.stores) == (1, 1)
+    assert len(_entries(tmp_path)) == 1
+    # Slot counters still count per input file.
+    assert stats.units_executed == stats.units_total == 8
+    assert [r.path for r in reports] == ["ring.c", "copy/ring.c"]
+
+
+def test_corrupt_file_entry_is_relinted_identically(tmp_path):
+    sources = _sources()
+    cold, _ = lint_sources(sources, cache=ResultCache(tmp_path))
+    cache = ResultCache(tmp_path)
+    path = cache._path(cache.key("lint", _task(source=sources[1][1])))
+    path.write_text('{"structure": {"n_dir')
+    warm, stats = lint_sources(sources, cache=cache)
+    assert (cache.hits, cache.misses, cache.stores) == (2, 1, 1)
+    assert stats.units_executed == 4
+    assert isinstance(json.loads(path.read_text()), dict)
+    assert render_reports(warm, "json") == render_reports(cold, "json")
+
+
+def test_subset_sweep_misses_and_matches_the_sequential_path(tmp_path):
+    sources = _sources()
+    lint_sources(sources, cache=ResultCache(tmp_path))
+    subset = [Target.MPI_2SIDE]
+    cache = ResultCache(tmp_path)
+    reports, stats = lint_sources(sources, targets=subset, cache=cache)
+    assert (cache.hits, cache.misses) == (0, len(sources))
+    assert stats.units_executed == 2 * len(sources)
+    expected = [lint_program(parse_program(source), path=path,
+                             targets=subset)
+                for path, source in sources]
+    for fmt in ("json", "sarif"):
+        assert render_reports(reports, fmt) == \
+            render_reports(expected, fmt)

@@ -1,8 +1,9 @@
-"""The scheduler runs each file's pending units on one parse.
+"""The scheduler runs each file once, on one parse.
 
-A file's structure and verify units share one ``parse_program`` and
-one sync plan, as ``lint_program`` shares them, while the cache still
-keeps one entry per unit and the stats one wall time per unit.
+A file's structure, verify and advise slots share one
+``parse_program``, one sync plan and one verifier sweep, as
+``lint_program`` shares them; the cache keeps one entry per file and
+the stats one wall time per slot.
 """
 
 from pathlib import Path
@@ -52,8 +53,9 @@ def test_one_parse_per_file(monkeypatch):
 def test_one_wall_per_executed_unit(tmp_path, monkeypatch):
     run = scheduler.run_file_units
 
-    def one_second_each(specs):
-        return [dict(out, wall_s=1.0) for out in run(specs)]
+    def one_second_each(task):
+        return {name: dict(slot, wall_s=1.0)
+                for name, slot in run(task).items()}
 
     monkeypatch.setattr(scheduler, "run_file_units", one_second_each)
     sources = _sources()[:2]

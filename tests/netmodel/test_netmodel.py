@@ -1,5 +1,6 @@
 """Unit tests for the network cost models."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +17,8 @@ from repro.netmodel import (
 )
 from repro.netmodel.base import MPI_1SIDED, MPI_2SIDED, SHMEM
 from repro.util.units import usec
+
+from tests._spmd import mpi_run
 
 
 class TestPiecewiseTable:
@@ -166,6 +169,34 @@ class TestGeminiCalibration:
         assert original / ablation == pytest.approx(2.6, rel=0.1)
         assert ablation / directive == pytest.approx(1.4, rel=0.1)
         assert original / shmem == pytest.approx(38.0, rel=0.15)
+
+    def test_mpi2s_rendezvous_starts_above_8192_bytes(self):
+        """A two-sided send of exactly 8192 B (Gemini's eager threshold)
+        is buffered; one of 9000 B waits for the late receiver and pays
+        the rendezvous handshake."""
+        m = gemini_model()
+        tp = m.transport(MPI_2SIDED)
+        late = 1.0
+
+        def run(nbytes):
+            def prog(comm):
+                if comm.rank == 0:
+                    comm.Send(np.zeros(nbytes, dtype=np.uint8), dest=1)
+                else:
+                    comm.env.compute(late)
+                    comm.Recv(np.zeros(nbytes, dtype=np.uint8), source=0)
+                return comm.env.now
+
+            res, _ = mpi_run(2, prog, model=m)
+            return res.values
+
+        sender, receiver = run(8192)
+        assert sender < late
+        assert receiver - late == pytest.approx(tp.o_recv)
+        sender, receiver = run(9000)
+        handshake = late + tp.rendezvous_rtt + tp.wire_time(9000)
+        assert sender == pytest.approx(handshake)
+        assert receiver == pytest.approx(handshake + tp.o_recv)
 
     def test_bandwidths_converge_for_large_messages(self):
         """Fig 3's 'comparable' result needs similar large-message rates."""
