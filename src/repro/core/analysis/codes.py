@@ -254,7 +254,7 @@ def diagnostic_from_dict(data: dict[str, object]) -> Diagnostic:
     dict restore their dataclass defaults, so a diagnostic survives a
     JSON round trip bit-for-bit. The sharded lint service
     (:mod:`repro.lintserve`) depends on this to keep parallel and
-    memoized reports byte-identical to the sequential path.
+    memoized reports byte-identical to ``lint_program``'s.
     """
     line = data["line"]
     if not isinstance(line, int):

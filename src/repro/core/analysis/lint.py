@@ -221,7 +221,7 @@ def lint_program(program: Program, nprocs: int = 8,
     sharded lint service (:mod:`repro.lintserve`) runs the same pieces
     once per file in worker processes and merges them with the same
     functions, which is what makes its output byte-identical to this
-    sequential path.
+    function's reports.
     """
     swept = list(targets) if targets else list(Target)
     plan = plan_synchronization(program)

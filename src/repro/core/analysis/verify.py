@@ -32,7 +32,7 @@ fuzzer catches dynamically is also refuted statically.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core import exprs
 from repro.core.analysis import hb
@@ -568,8 +568,8 @@ def _deadlock_diagnostics(graph: hb.HBGraph,
     return out
 
 
-def _stale_read_diagnostics(tracers: list[_RankView],
-                            target: Target) -> list[Diagnostic]:
+def _stale_read_diagnostics(tracers: list[_RankTracer]
+                            ) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     never: dict[tuple[int, frozenset[str]], list[int]] = {}
     early: dict[tuple[int, frozenset[str], int, str], list[int]] = {}
@@ -603,7 +603,7 @@ def _stale_read_diagnostics(tracers: list[_RankView],
             f"stale read: {_namelist(names)} received by the directive "
             f"at line {directive} {what} "
             f"(rank{_plural(ranks)} {_ranklist(ranks)})",
-            directive=directive, target=target.value))
+            directive=directive))
     for (directive, names), ranks in sorted(never.items()):
         out.append(make(
             "CI011", directive,
@@ -612,12 +612,12 @@ def _stale_read_diagnostics(tracers: list[_RankView],
             f"{'are' if len(names) > 1 else 'is'} never guaranteed by "
             f"any synchronization; the final data is stale on "
             f"rank{_plural(ranks)} {_ranklist(ranks)}",
-            directive=directive, target=target.value))
+            directive=directive))
     return out
 
 
-def _consolidation_diagnostics(tracers: list[_RankView],
-                               target: Target) -> list[Diagnostic]:
+def _consolidation_diagnostics(tracers: list[_RankTracer]
+                               ) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     seen: set[int] = set()
     for tracer in tracers:
@@ -631,7 +631,7 @@ def _consolidation_diagnostics(tracers: list[_RankView],
                 f"{_namelist(d.names)} with communication consolidated "
                 "from an earlier region; the sync plan is downgraded "
                 "with an extra synchronization before this directive",
-                directive=d.line, target=target.value))
+                directive=d.line))
     return out
 
 
@@ -775,7 +775,10 @@ def verify_all_targets(program: Program, nprocs: int = 8,
     nprocs, extra_vars, weakening, plan shape) and records each
     handle's own ``target`` clause only. Each swept target then labels
     copies of the handles with its resolved target, matches them and
-    builds its happens-before graph. With ``cache=True`` the walk and
+    builds its happens-before graph. The findings that read no matched
+    or labelled field (stale reads, consolidation downgrades and, under
+    ``report_unrollable``, CI032) are computed once over the walk and
+    copied into each target's report. With ``cache=True`` the walk and
     the race pass's target-independent accesses live in
     :data:`repro.core.analysis.hb.GRAPH_CACHE`, so re-sweeps of the
     same source (the differential oracle, the fix engine's proof gate,
@@ -791,14 +794,18 @@ def verify_all_targets(program: Program, nprocs: int = 8,
     walk = _shared_walk(program, nprocs, extra_vars, plan, weakening,
                         cache)
     loop_varying = _loop_varying_lines(program)
+    unrollable = (_unrollable_diagnostics(program, nprocs, extra_vars)
+                  if report_unrollable else [])
+    walked = any(t.handles for t in walk.tracers)
+    shared = (_stale_read_diagnostics(walk.tracers)
+              + _consolidation_diagnostics(walk.tracers)
+              if walked else [])
     reports: dict[Target, VerifyReport] = {}
     for target in swept:
         report = VerifyReport(target=target, nprocs=nprocs)
         reports[target] = report
-        if report_unrollable:
-            report.diagnostics.extend(_unrollable_diagnostics(
-                program, nprocs, extra_vars, target))
-        if not any(t.handles for t in walk.tracers):
+        report.diagnostics.extend(_for_target(unrollable, target))
+        if not walked:
             continue
         views = _label(walk.tracers, target)
         _match(views)
@@ -809,9 +816,7 @@ def verify_all_targets(program: Program, nprocs: int = 8,
         deadlocks = _deadlock_diagnostics(graph, clocks, target,
                                           loop_varying)
         report.diagnostics.extend(deadlocks)
-        report.diagnostics.extend(_stale_read_diagnostics(views, target))
-        report.diagnostics.extend(
-            _consolidation_diagnostics(views, target))
+        report.diagnostics.extend(_for_target(shared, target))
         if not any(d.severity == "error" for d in deadlocks):
             # The race pass orders events by their vector clocks; a
             # refuted-deadlocked unroll has no meaningful clocks to
@@ -822,6 +827,12 @@ def verify_all_targets(program: Program, nprocs: int = 8,
                 views, clocks, target, loop_varying, walk.accesses))
         report.diagnostics.sort(key=lambda d: d.sort_key())
     return reports
+
+
+def _for_target(diagnostics: list[Diagnostic],
+                target: Target) -> list[Diagnostic]:
+    """Copies of target-independent findings tagged with ``target``."""
+    return [replace(d, target=target.value) for d in diagnostics]
 
 
 #: Names the unroller itself binds; anything else is a program value.
@@ -858,8 +869,8 @@ def _loop_varying_lines(program: Program) -> frozenset[int]:
 
 
 def _unrollable_diagnostics(program: Program, nprocs: int,
-                            extra_vars: dict[str, int] | None,
-                            target: Target) -> list[Diagnostic]:
+                            extra_vars: dict[str, int] | None
+                            ) -> list[Diagnostic]:
     """CI032 for directives whose clauses cannot be evaluated."""
     out: list[Diagnostic] = []
     probe: dict[str, int] = {"nprocs": nprocs, "size": nprocs,
@@ -882,5 +893,5 @@ def _unrollable_diagnostics(program: Program, nprocs: int,
                 "CI032", node.line,
                 f"directive cannot be unrolled statically: no value "
                 f"for free name(s) {unknown} (pass extra_vars/--var)",
-                directive=node.line, target=target.value))
+                directive=node.line))
     return out

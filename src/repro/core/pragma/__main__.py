@@ -26,6 +26,7 @@ time before it is accepted).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro.core.analysis import (
@@ -40,7 +41,6 @@ from repro.core.analysis import (
     render_sarif,
     validate_matching,
 )
-from repro.core.analysis.codes import make
 from repro.core.analysis.independence import base_identifier
 from repro.core.analysis.lint import LintReport
 from repro.core.clauses import Target
@@ -49,6 +49,7 @@ from repro.core.ir import BufferDecl, P2PNode, Program
 from repro.core.pragma import parse_program
 from repro.dtypes.primitives import DOUBLE
 from repro.errors import ReproError
+from repro.lintserve import ResultCache, lint_sources
 
 _TARGETS = {
     "mpi2s": Target.MPI_2SIDE,
@@ -195,10 +196,9 @@ def render_reports(reports: list[LintReport], fmt: str,
                    fixes: dict[str, FixResult] | None = None) -> str:
     """Render lint reports exactly as the CLI prints them.
 
-    The single formatting authority for the sequential path, the
-    sharded ``--jobs`` path and the daemon: all three emit this
-    string (trailing newline included), which is what "byte-identical
-    output" means mechanically.
+    The single formatting authority: every ``--jobs`` / ``--cache-dir``
+    combination emits this string (trailing newline included), which
+    is what "byte-identical output" means mechanically.
     """
     if fmt == "json":
         return render_json(reports, fixes=fixes or None) + "\n"
@@ -258,8 +258,8 @@ def main_lint(argv: list[str] | None = None) -> int:
         "sharded lint service (repro.lintserve; docs/LINTSERVE.md)")
     service.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="fan per-file lint tasks over N "
-                              "worker processes; output stays "
-                              "byte-identical to the sequential path")
+                              "worker processes (default 1: inline); "
+                              "output is byte-identical for every N")
     service.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="memoize per-file results on disk "
                               "(keyed by content hash + "
@@ -269,22 +269,7 @@ def main_lint(argv: list[str] | None = None) -> int:
     service.add_argument("--stats-out", metavar="FILE", default=None,
                          help="write scheduler/cache statistics JSON "
                               "(units, hit rate, wall times)")
-    service.add_argument("--serve", action="store_true",
-                         help="run as a warm daemon answering lint "
-                              "requests over --socket until a "
-                              "shutdown request arrives")
-    service.add_argument("--socket", metavar="PATH", default=None,
-                         help="unix socket path: with --serve, where "
-                              "to listen; otherwise, send this "
-                              "invocation to the daemon listening "
-                              "there instead of linting locally")
-    service.add_argument("--shutdown", action="store_true",
-                         help="ask the daemon at --socket to exit")
     args = parser.parse_args(argv)
-    if args.serve or args.shutdown:
-        return _daemon_main(args, parser)
-    if args.socket is not None:
-        return _client_main(args, parser)
     if not args.inputs and not args.catalog:
         parser.print_usage(sys.stderr)
         print("repro-lint: error: no inputs (give files or --catalog)",
@@ -298,81 +283,9 @@ def main_lint(argv: list[str] | None = None) -> int:
     do_fix = args.fix or args.fix_dry_run
     advise = args.advise or do_fix
     targets = [_TARGETS[args.target]] if args.target else None
-    if args.jobs is not None or args.cache_dir is not None:
-        return _service_main(args, extra_vars, targets, advise, do_fix)
 
-    reports: list[LintReport] = []
-    fixes: dict[str, FixResult] = {}
-    for path in args.inputs:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                source = fh.read()
-        except OSError as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            program = parse_program(source)
-        except ReproError as exc:
-            # The file never reached analysis: report the parse error
-            # as a CI000 diagnostic so JSON/SARIF stay well-formed.
-            line = getattr(exc, "line", None) or 0
-            report = LintReport(path=path)
-            report.diagnostics.append(make("CI000", line, str(exc)))
-            reports.append(report)
-            continue
-        reports.append(lint_program(program, nprocs=args.nprocs,
-                                    extra_vars=extra_vars or None,
-                                    path=path, targets=targets,
-                                    advise=advise))
-        if do_fix:
-            result = fix_source(source, nprocs=args.nprocs,
-                                extra_vars=extra_vars or None)
-            fixes[path] = result
-            if args.fix and result.changed:
-                try:
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(result.source)
-                except OSError as exc:
-                    print(f"repro-lint: error: {exc}", file=sys.stderr)
-                    return 2
-                print(f"repro-lint: fixed {path} "
-                      f"({len(result.accepted)} rewrite(s) proven)",
-                      file=sys.stderr)
-    if args.catalog:
-        reports.extend(_catalog_reports(
-            args.nprocs, extra_vars, targets=targets, advise=advise,
-            fixes=fixes if do_fix else None))
-
-    sys.stdout.write(render_reports(reports, args.format,
-                                    fixes=fixes or None))
-    return _aggregate_exit(reports, args.fail_on)
-
-
-def _aggregate_exit(reports: list[LintReport], fail_on: str) -> int:
-    """The merged run's exit status under ``--fail-on``.
-
-    One aggregation point for every path — sequential, sharded,
-    daemon: a single error-severity finding in *any* report (any
-    shard) fails the whole run.
-    """
-    failing = any(r.errors for r in reports)
-    if fail_on == "warning":
-        failing = failing or any(r.warnings for r in reports)
-    return 1 if failing else 0
-
-
-def _service_main(args: "argparse.Namespace",
-                  extra_vars: dict[str, int],
-                  targets: "list[Target] | None",
-                  advise: bool, do_fix: bool) -> int:
-    """The ``--jobs`` / ``--cache-dir`` path: sharded + memoized lint.
-
-    Semantics match the sequential loop exactly (missing file: exit 2
-    before any output; parse error: CI000 report; same render, same
-    exit aggregation) — only the execution strategy differs.
-    """
-    from repro.lintserve import ResultCache, lint_sources
-
+    # Every input is read before anything is linted, printed or
+    # rewritten: a missing file is a usage error with no side effects.
     sources: list[tuple[str, str]] = []
     for path in args.inputs:
         try:
@@ -413,96 +326,34 @@ def _service_main(args: "argparse.Namespace",
             args.nprocs, extra_vars, targets=targets, advise=advise,
             fixes=fixes if do_fix else None))
 
-    print(f"repro-lint: {stats.units_total} unit(s): "
-          f"{stats.units_from_cache} cached, "
-          f"{stats.units_executed} executed with --jobs {jobs} "
-          f"in {stats.wall_s:.2f}s "
-          f"(hit rate {stats.hit_rate:.0%})", file=sys.stderr)
+    if args.jobs is not None or cache is not None:
+        print(f"repro-lint: {stats.units_total} unit(s): "
+              f"{stats.units_from_cache} cached, "
+              f"{stats.units_executed} executed with --jobs {jobs} "
+              f"in {stats.wall_s:.2f}s "
+              f"(hit rate {stats.hit_rate:.0%})", file=sys.stderr)
     if args.stats_out is not None:
-        import json as _json
         payload = stats.as_dict()
         if cache is not None:
             payload["salt"] = cache.salt
         with open(args.stats_out, "w", encoding="utf-8") as fh:
-            _json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2)
             fh.write("\n")
     sys.stdout.write(render_reports(reports, args.format,
                                     fixes=fixes or None))
     return _aggregate_exit(reports, args.fail_on)
 
 
-def _daemon_main(args: "argparse.Namespace",
-                 parser: argparse.ArgumentParser) -> int:
-    """``--serve`` / ``--shutdown``: run or stop the lint daemon."""
-    from repro.lintserve import LintDaemon, request_over_socket
+def _aggregate_exit(reports: list[LintReport], fail_on: str) -> int:
+    """The merged run's exit status under ``--fail-on``.
 
-    if args.socket is None:
-        parser.error("--serve/--shutdown require --socket PATH")
-    if args.shutdown:
-        try:
-            response = request_over_socket(args.socket,
-                                           {"op": "shutdown"})
-        except OSError as exc:
-            print(f"repro-lint: error: cannot reach daemon at "
-                  f"{args.socket}: {exc}", file=sys.stderr)
-            return 2
-        return 0 if response.get("ok") else 2
-    daemon = LintDaemon(args.socket,
-                        jobs=args.jobs if args.jobs else 1,
-                        cache_dir=args.cache_dir)
-    print(f"repro-lint: serving on {args.socket} "
-          f"(jobs={daemon.jobs}, cache={daemon.cache.root})",
-          file=sys.stderr)
-    try:
-        daemon.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _client_main(args: "argparse.Namespace",
-                 parser: argparse.ArgumentParser) -> int:
-    """``--socket`` without ``--serve``: lint via the warm daemon."""
-    import os
-
-    from repro.lintserve import LintRequest, request_over_socket
-
-    if args.fix or args.fix_dry_run:
-        print("repro-lint: error: --fix/--fix-dry-run are not "
-              "supported over the daemon (run them locally)",
-              file=sys.stderr)
-        return 2
-    if not args.inputs and not args.catalog:
-        parser.print_usage(sys.stderr)
-        print("repro-lint: error: no inputs (give files or --catalog)",
-              file=sys.stderr)
-        return 2
-    try:
-        extra_vars = _parse_vars(args.var)
-    except ValueError as exc:
-        print(f"repro-lint: error: {exc}", file=sys.stderr)
-        return 2
-    request = LintRequest(
-        inputs=list(args.inputs), cwd=os.getcwd(),
-        nprocs=args.nprocs, vars=extra_vars,
-        target=(_TARGETS[args.target].value
-                if args.target else None),
-        advise=args.advise, catalog=args.catalog, format=args.format,
-        fail_on=args.fail_on)
-    try:
-        response = request_over_socket(args.socket, request.as_dict())
-    except OSError as exc:
-        print(f"repro-lint: error: cannot reach daemon at "
-              f"{args.socket}: {exc}", file=sys.stderr)
-        return 2
-    if not response.get("ok"):
-        print(f"repro-lint: daemon error: {response.get('error')}",
-              file=sys.stderr)
-        return 2
-    if response.get("error"):
-        print(response["error"], file=sys.stderr)
-    sys.stdout.write(response.get("output", ""))
-    return int(response.get("exit_code", 2))
+    A single error-severity finding in *any* report (any shard, cached
+    or executed) fails the whole run.
+    """
+    failing = any(r.errors for r in reports)
+    if fail_on == "warning":
+        failing = failing or any(r.warnings for r in reports)
+    return 1 if failing else 0
 
 
 def _render_fix(result: FixResult) -> str:

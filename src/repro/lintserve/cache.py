@@ -24,9 +24,9 @@ Entries are one JSON file each, flat under ``<root>/objects/<k>.json``
 (one entry per linted file keeps even a large tree well within one
 directory; the ``objects`` directory is created on the first store
 that finds it missing). Each is written atomically (temp file +
-``os.replace``), so concurrent writers — pool workers, a daemon,
-parallel CI shards sharing a restored cache — can never publish a
-torn entry. A corrupt or truncated entry is treated as a miss and
+``os.replace``), so concurrent writers — pool workers, parallel CI
+shards sharing a restored cache — can never publish a torn entry. A
+corrupt, truncated or non-object entry is treated as a miss and
 deleted.
 """
 
@@ -37,7 +37,7 @@ import json
 import os
 from pathlib import Path
 
-__all__ = ["MemoryCache", "ResultCache", "analysis_salt", "unit_key"]
+__all__ = ["ResultCache", "analysis_salt", "unit_key"]
 
 #: Computed lazily, once per process (hashing ~200 source files).
 _SALT: str | None = None
@@ -111,15 +111,14 @@ class ResultCache:
             self.misses += 1
             return None
         except (OSError, json.JSONDecodeError):
+            value = None
+        if not isinstance(value, dict):
             # A torn/corrupt entry (killed writer on a non-atomic
-            # filesystem) is dropped and redone.
+            # filesystem) or a non-object one is dropped and redone.
             try:
                 path.unlink()
             except OSError:
                 pass
-            self.misses += 1
-            return None
-        if not isinstance(value, dict):
             self.misses += 1
             return None
         self.hits += 1
@@ -171,24 +170,3 @@ class ResultCache:
             "hit_rate": round(self.hit_rate, 4),
         }
 
-
-class MemoryCache(ResultCache):
-    """Same interface, process-local dict store — the daemon's warm
-    layer when no ``--cache-dir`` is configured (results survive
-    across requests but not across daemon restarts)."""
-
-    def __init__(self, salt: str | None = None) -> None:
-        super().__init__(root="<memory>", salt=salt)
-        self._store: dict[str, dict] = {}
-
-    def get(self, key: str) -> dict | None:
-        value = self._store.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return value
-
-    def put(self, key: str, value: dict) -> None:
-        self._store[key] = value
-        self.stores += 1

@@ -17,7 +17,8 @@ module owns both directions:
 Because diagnostics round-trip exactly
 (:func:`~repro.core.analysis.codes.diagnostic_from_dict`) and the
 merge functions are shared, a report assembled from sharded (or
-cached) slot maps renders byte-identically to the sequential path —
+cached) slot maps renders byte-identically to per-file
+:func:`~repro.core.analysis.lint.lint_program` reports —
 ``tests/lintserve/test_determinism.py`` pins this over the whole
 examples tree in JSON and SARIF.
 """
@@ -70,8 +71,8 @@ def _deserialize_diags(entries: Any) -> list[Diagnostic]:
 def parse_error_report(path: str, error: dict) -> LintReport:
     """The report for a file the parser rejected (CI000).
 
-    Mirrors the sequential CLI path exactly: a bare report (default
-    target list) carrying one CI000 diagnostic at the parser's line.
+    A bare report (default target list) carrying one CI000 diagnostic
+    at the parser's line.
     """
     report = LintReport(path=path)
     report.diagnostics.append(make(

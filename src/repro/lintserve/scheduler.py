@@ -19,8 +19,8 @@ Scheduling is deterministic-by-construction: tasks are *generated* in
 file order, *executed* in any order (``ProcessPoolExecutor.map`` over
 the cache misses), and *merged* strictly in file order by
 :mod:`repro.lintserve.merge` — completion order never influences the
-report, which is what keeps ``--jobs N`` output byte-identical to the
-sequential path.
+report, which is what keeps ``--jobs N`` output byte-identical for
+every ``N``.
 
 Every executed slot's wall time rides along in its result dict (and
 in the cache); the run's stats sum them as ``executed_wall_s`` and
@@ -30,7 +30,7 @@ count ``units_*`` in slots.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -80,8 +80,7 @@ def run_file_units(task: FileTask) -> dict[str, dict]:
 
     A parse failure is a *result*, not an exception: the map holds
     only a ``structure`` slot with the ``parse_error``, which the
-    merge turns into the CI000 report, exactly like the sequential
-    CLI.
+    merge turns into the CI000 report.
     """
     t_start = time.perf_counter()
     extra_vars = dict(task.extra_vars) or None
@@ -137,7 +136,7 @@ class LintServiceStats:
                 if self.units_total else 0.0)
 
     def as_dict(self) -> dict:
-        """JSON form for ``--stats-out`` and daemon responses."""
+        """JSON form for ``--stats-out``."""
         out = {
             "files": self.files,
             "units_total": self.units_total,
@@ -153,19 +152,15 @@ class LintServiceStats:
         return out
 
 
-def pool_map(fn: Callable, items: Sequence, jobs: int,
-             executor: Executor | None = None) -> list:
+def pool_map(fn: Callable, items: Sequence, jobs: int) -> list:
     """Order-preserving parallel map with sequential fallback.
 
     ``jobs <= 1`` (and the empty/singleton case) runs inline — no pool
-    spin-up for work that cannot amortize it. A caller-owned
-    ``executor`` (the daemon's warm pool) is reused, not shut down.
+    spin-up for work that cannot amortize it.
     """
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     chunksize = max(1, len(items) // (jobs * 4))
-    if executor is not None:
-        return list(executor.map(fn, items, chunksize=chunksize))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
 
@@ -176,16 +171,15 @@ def lint_sources(sources: Sequence[tuple[str, str]], *,
                  targets: Iterable[Target] | None = None,
                  advise: bool = False,
                  jobs: int = 1,
-                 cache: ResultCache | None = None,
-                 executor: Executor | None = None
+                 cache: ResultCache | None = None
                  ) -> tuple[list[LintReport], LintServiceStats]:
-    """Lint ``(path, source)`` pairs through the sharded/memoized path.
+    """Lint ``(path, source)`` pairs: the CLI's one lint path.
 
     Returns the reports in input order plus the run's scheduling
     stats. With ``cache`` set, each distinct file task does one lookup
     before the pool and, on a miss, one store after it; with
-    ``jobs > 1`` the missed tasks fan over a ``ProcessPoolExecutor``
-    (or the caller's warm ``executor``).
+    ``jobs > 1`` the missed tasks fan over a ``ProcessPoolExecutor``,
+    otherwise they run inline.
     """
     t_start = time.perf_counter()
     swept = list(targets) if targets else list(Target)
@@ -209,7 +203,7 @@ def lint_sources(sources: Sequence[tuple[str, str]], *,
     executed = set(pending)
 
     for task, slots in zip(pending, pool_map(run_file_units, pending,
-                                             jobs, executor)):
+                                             jobs)):
         results[task] = slots
         stats.executed_wall_s += sum(slot["wall_s"]
                                      for slot in slots.values())

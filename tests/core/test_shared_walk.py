@@ -185,6 +185,59 @@ def test_lint_prints_and_keys_the_source_once(walks, monkeypatch):
     assert walks == [0, 1, 2, 3]
 
 
+#: A read before the guaranteeing sync (CI012) and a directive over an
+#: unbound name (CI032).
+EARLY_READ_UNBOUND = """\
+double a[4]; double b[4]; double c[4]; double d[4];
+double e[4]; double f[4];
+int rank, nprocs;
+#pragma comm_parameters sender((rank-1+nprocs)%nprocs) receiver((rank+1)%nprocs)
+{
+#pragma comm_p2p sbuf(a) rbuf(b)
+    peek(b);
+#pragma comm_p2p sbuf(c) rbuf(d)
+}
+#pragma comm_p2p sender(px) receiver(px) sbuf(e) rbuf(f)
+"""
+
+#: The verifier passes that read no matched or labelled handle field.
+TARGET_INDEPENDENT_PASSES = ("_stale_read_diagnostics",
+                             "_consolidation_diagnostics",
+                             "_unrollable_diagnostics")
+
+
+#: A region-carried flush the sync plan downgrades (CI020).
+CARRIED_FLUSH = os.path.join(_ROOT, "examples", "pragmas", "generated",
+                             "carried_flush_downgrade.c")
+
+
+@pytest.mark.parametrize("path", [None, CARRIED_FLUSH])
+def test_target_independent_passes_run_once_per_sweep(path, monkeypatch):
+    """A three-target sweep runs each target-independent pass once and
+    gives every target its own tagged copy of the findings."""
+    source = EARLY_READ_UNBOUND
+    if path is not None:
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+    calls = {name: 0 for name in TARGET_INDEPENDENT_PASSES}
+    for name in TARGET_INDEPENDENT_PASSES:
+        def counting(*args, _name=name, _run=getattr(verify, name)):
+            calls[_name] += 1
+            return _run(*args)
+        monkeypatch.setattr(verify, name, counting)
+    reports = verify_all_targets(parse_program(source), nprocs=4,
+                                 report_unrollable=True, cache=False)
+    assert calls == {name: 1 for name in TARGET_INDEPENDENT_PASSES}
+    shared = {}
+    for target, report in reports.items():
+        found = [d for d in report.diagnostics
+                 if d.code in ("CI011", "CI012", "CI020", "CI032")]
+        assert found
+        assert {d.target for d in found} == {target.value}
+        shared[target] = [(d.code, d.line, d.message) for d in found]
+    assert len({tuple(rows) for rows in shared.values()}) == 1
+
+
 #: target -> (code, severity, line, directive, message) of MIXED's
 #: deadlock findings at nprocs=4, as the per-target walks found them.
 MIXED_DEADLOCKS = {

@@ -17,7 +17,6 @@ from repro.core.pragma import parse_program
 from repro.core.pragma.__main__ import render_reports
 from repro.lintserve import (
     FileTask,
-    MemoryCache,
     ResultCache,
     analysis_salt,
     lint_sources,
@@ -87,15 +86,7 @@ def test_corrupt_entry_is_a_miss_and_deleted(tmp_path):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps([1, 2]))
     assert cache.get(key) is None
-
-
-def test_memory_cache_counters():
-    cache = MemoryCache()
-    key = cache.key("diffgen", ("src", 8))
-    assert cache.get(key) is None
-    cache.put(key, {"ok": True})
-    assert cache.get(key) == {"ok": True}
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert not path.exists()
 
 
 def test_lazy_mkdir_survives_a_removed_objects_dir(tmp_path):

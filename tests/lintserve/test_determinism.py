@@ -1,19 +1,23 @@
-"""Byte-identity of the sequential, sharded and memoized lint paths.
+"""Byte-identity of the CLI's default, sharded and memoized runs.
 
-The service's core contract: ``--jobs 8`` and a warm ``--cache-dir``
-rerun must render exactly the bytes the sequential path renders — over
-the whole examples tree, including the seeded race counterexamples
-(``races/``) and the minimized generated corpus (``generated/``). Plus
-the incremental contract: editing one file re-executes exactly that
-file's units.
+The service's core contract: the default run, ``--jobs 8`` and a cold
+and a warm ``--cache-dir`` run must render exactly the bytes of the
+independent reference — per-file ``lint_program`` reports (CI000 for
+files that fail to parse) through ``render_reports`` — over the whole
+examples tree, including the seeded race counterexamples (``races/``)
+and the minimized generated corpus (``generated/``). Plus the
+incremental contract: editing one file re-executes exactly that file's
+units.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.core.pragma.__main__ import main_lint
+from repro.core.pragma.__main__ import main_lint, render_reports
 from repro.lintserve import ResultCache, lint_sources
+
+from .test_scheduler import _sequential
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "pragmas"
 
@@ -34,14 +38,17 @@ def _run(argv, capsys):
 @pytest.mark.parametrize("fmt", ["json", "sarif"])
 def test_parallel_and_cached_output_identical(example_files, tmp_path,
                                               capsys, fmt):
+    reference = render_reports(
+        _sequential([(f, Path(f).read_text(encoding="utf-8"))
+                     for f in example_files]), fmt)
     base = example_files + ["--format", fmt]
-    rc0, sequential = _run(base, capsys)
+    rc0, default = _run(base, capsys)
     rc1, parallel = _run(base + ["--jobs", "8"], capsys)
     cached = base + ["--jobs", "2", "--cache-dir", str(tmp_path / fmt)]
     rc2, cold = _run(cached, capsys)
     rc3, warm = _run(cached, capsys)
     assert rc0 == rc1 == rc2 == rc3 == 1  # bad/ + races/ carry errors
-    assert sequential == parallel == cold == warm
+    assert reference == default == parallel == cold == warm
 
 
 def test_warm_run_is_fully_memoized(example_files, tmp_path, capsys):

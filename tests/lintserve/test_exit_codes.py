@@ -2,10 +2,14 @@
 
 A single error in any shard must fail the merged run with exit 1, and
 ``--fail-on warning`` must widen aggregation over *all* merged
-reports — same semantics as the sequential path, asserted here on the
-``--jobs``/``--cache-dir`` code path.
+reports, whatever ``--jobs``/``--cache-dir`` say. Every invocation
+takes the one ``lint_sources`` path, so ``--stats-out`` is written and
+a missing input stops the run before any ``--fix`` rewrite even
+without those flags.
 """
 
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,34 @@ def test_sequential_and_parallel_agree_on_rc(extra, capsys):
     for argv, want in (([CLEAN], 0), ([RACY], 1), ([CLEAN, RACY], 1)):
         assert main_lint(argv + extra) == want
         capsys.readouterr()
+
+
+def test_stats_out_without_service_flags(tmp_path, capsys):
+    stats_file = tmp_path / "stats.json"
+    assert main_lint([CLEAN, "--stats-out", str(stats_file)]) == 0
+    # No --jobs/--cache-dir: stderr carries no scheduler summary.
+    assert capsys.readouterr().err == ""
+    stats = json.loads(stats_file.read_text())
+    assert stats["jobs"] == 1
+    assert stats["files"] == 1
+    assert stats["units_total"] == 4
+    assert stats["units_executed"] == 4
+    assert stats["units_from_cache"] == 0
+    assert "cache" not in stats and "salt" not in stats
+
+
+def test_fix_with_a_missing_later_file_rewrites_nothing(tmp_path,
+                                                        capsys):
+    slow = tmp_path / "early_sync.c"
+    shutil.copy(SLOW, slow)
+    before = slow.read_bytes()
+    rc = main_lint([str(slow), str(tmp_path / "missing.c"), "--fix"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "fixed" not in err and "error" in err
+    assert slow.read_bytes() == before
+    # The same file alone is rewritten, so the check above is not
+    # vacuous.
+    assert main_lint([str(slow), "--fix"]) == 0
+    assert slow.read_bytes() != before

@@ -71,7 +71,8 @@ def test_one_wall_per_executed_unit(tmp_path, monkeypatch):
 
 
 def _sequential(sources):
-    """The CLI's sequential path: ``lint_program`` per parsed file."""
+    """The reference lint: ``lint_program`` per parsed file, CI000
+    for a file that fails to parse."""
     reports = []
     for path, source in sources:
         try:
