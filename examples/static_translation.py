@@ -67,13 +67,13 @@ def main() -> None:
 
     print("== 2. dataflow analysis of a ring directive ==")
     ring = parse_program(RING_SOURCE)
-    node = ring.all_p2p()[0]
-    graph = comm_graph(node.clauses, nprocs=8)
+    node, _scope, clauses = ring.p2p_clauses()[0]
+    graph = comm_graph(clauses, nprocs=8)
     print(f"edges: {graph.edges}")
     print(f"classified pattern: {classify_pattern(graph)!r}")
     issues = validate_matching(graph)
     print(f"matching issues: {issues or 'none'}")
-    verdict = overlap_legal(node)
+    verdict = overlap_legal(node, clauses)
     print(f"overlap legality of the body: {verdict.legal} "
           f"({verdict.reason})")
 

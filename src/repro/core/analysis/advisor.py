@@ -107,6 +107,9 @@ class _Ctx:
     target: Target
     variables: dict[str, int]
     model: MachineModel
+    #: ``id(node)`` -> effective clauses, from
+    #: :meth:`repro.core.ir.Program.p2p_clauses`.
+    effective: dict[int, ClauseExprs]
     findings: list[Finding] = field(default_factory=list)
 
 
@@ -130,7 +133,9 @@ def advise_program(program: Program, nprocs: int = 8, *,
                target=Target.parse(target),
                variables={"nprocs": nprocs, "size": nprocs, "rank": 0,
                           **(extra_vars or {})},
-               model=model if model is not None else gemini_model())
+               model=model if model is not None else gemini_model(),
+               effective={id(node): clauses for node, _scope, clauses
+                          in program.p2p_clauses()})
     _pass_consolidation(ctx)
     _pass_overlap(ctx)
     _pass_count(ctx)
@@ -172,12 +177,6 @@ def _message_bytes(clauses: ClauseExprs, ctx: _Ctx) -> int | None:
     except ReproError:
         return None
     return count * isz
-
-
-def _merged(node: P2PNode, region: ParamRegionNode | None) -> ClauseExprs:
-    if region is None:
-        return node.clauses
-    return region.clauses.merged_into(node.clauses)
 
 
 def _serial_cost(ctx: _Ctx, clauses: ClauseExprs) -> float | None:
@@ -256,11 +255,11 @@ def _consolidation_saving(ctx: _Ctx, clause_sets: list[ClauseExprs]
 
 def _consolidate_standalone(ctx: _Ctx) -> None:
     for run in _standalone_runs(ctx.program):
-        name_sets = [buffer_names(n.clauses) for n in run]
+        clause_sets = [ctx.effective[id(n)] for n in run]
+        name_sets = [buffer_names(c) for c in clause_sets]
         if not _names_pairwise_disjoint(name_sets):
             continue
-        saving = _consolidation_saving(
-            ctx, [n.clauses for n in run])
+        saving = _consolidation_saving(ctx, clause_sets)
         if saving is None:
             continue
         lines = tuple(n.line for n in run)
@@ -296,7 +295,7 @@ def _consolidate_regions(ctx: _Ctx) -> None:
                 break
             names: set[str] = set()
             for inst in instances:
-                merged = _merged(inst, region)
+                merged = ctx.effective[id(inst)]
                 names |= buffer_names(merged)
                 clause_sets.append(merged)
             name_sets.append(names)
@@ -378,8 +377,8 @@ def _pass_overlap(ctx: _Ctx) -> None:
         assert isinstance(raw, RawCode)
         if isinstance(node, P2PNode):
             host: P2PNode = node
-            live = buffer_names(node.clauses)
-            clause_sets = [node.clauses]
+            clause_sets = [ctx.effective[id(node)]]
+            live = buffer_names(clause_sets[0])
         elif isinstance(node, ParamRegionNode):
             if node.place_sync is not SyncPlacement.END_PARAM_REGION:
                 continue  # sync is not at this boundary
@@ -390,7 +389,7 @@ def _pass_overlap(ctx: _Ctx) -> None:
             live = set()
             clause_sets = []
             for inst in instances:
-                merged = _merged(inst, node)
+                merged = ctx.effective[id(inst)]
                 live |= buffer_names(merged)
                 clause_sets.append(merged)
         else:
@@ -439,25 +438,9 @@ def _pass_overlap(ctx: _Ctx) -> None:
 # CI103 — oversized count
 
 
-def _walk_p2p(program: Program
-              ) -> list[tuple[P2PNode, ParamRegionNode | None]]:
-    out: list[tuple[P2PNode, ParamRegionNode | None]] = []
-
-    def walk(nodes: list[Node], region: ParamRegionNode | None) -> None:
-        for node in nodes:
-            if isinstance(node, ParamRegionNode):
-                walk(node.body, node)
-            elif isinstance(node, P2PNode):
-                out.append((node, region))
-                walk(node.body, region)
-
-    walk(program.nodes, None)
-    return out
-
-
 def _pass_count(ctx: _Ctx) -> None:
-    for node, region in _walk_p2p(ctx.program):
-        clauses = _merged(node, region)
+    for node in ctx.program.all_p2p():
+        clauses = ctx.effective[id(node)]
         if "count" not in clauses.exprs:
             continue
         names = sorted(buffer_names(clauses))
@@ -641,7 +624,7 @@ def _apply_tighten(program: Program, rw: Rewrite) -> bool:
 
 
 def _apply_retarget(program: Program, rw: Rewrite) -> bool:
-    for node, _region in _walk_p2p(program):
+    for node in program.all_p2p():
         if node.line == rw.line and node.clauses.target is not None:
             node.clauses.target = Target(rw.value)
             return True

@@ -17,7 +17,7 @@ Two granularities:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -66,19 +66,24 @@ def arrays_independent(a: Iterable[np.ndarray],
     return True
 
 
-def independent_groups(instances: list[P2PNode]) -> list[list[P2PNode]]:
+def independent_groups(instances: list[P2PNode],
+                       effective: Mapping[int, ClauseExprs]
+                       ) -> list[list[P2PNode]]:
     """Partition adjacent instances into maximal consolidatable groups.
 
     Scanning in order, an instance joins the current group while its
     buffer names are disjoint from every name already in the group;
     a dependent instance closes the group (its sync must precede the
-    dependent communication) and starts a new one.
+    dependent communication) and starts a new one. ``effective`` maps
+    ``id(node)`` to the instance's effective clauses
+    (:meth:`repro.core.ir.Program.p2p_clauses`), so buffers a region
+    supplies count.
     """
     groups: list[list[P2PNode]] = []
     current: list[P2PNode] = []
     seen: set[str] = set()
     for node in instances:
-        names = buffer_names(node.clauses)
+        names = buffer_names(effective[id(node)])
         if current and not names.isdisjoint(seen):
             groups.append(current)
             current = []

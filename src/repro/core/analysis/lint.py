@@ -262,9 +262,7 @@ def structure_report(program: Program, nprocs: int = 8,
     report.sync_calls = plan.total_sync_calls
     report.sync_reduction = plan.reduction_factor(program)
 
-    for region_id, splits in plan.forced_splits.items():
-        region = next(r for r in program.regions()
-                      if id(r) == region_id)
+    for region, splits in plan.forced_splits:
         report.diagnostics.append(make(
             "CI021", region.line,
             f"region has {splits} dependent buffer split(s); "
@@ -400,7 +398,7 @@ def _lint_directive(program: Program, node: P2PNode,
             "CI032", node.line,
             f"pattern not statically evaluable: {exc}",
             directive=node.line, target="*"))
-    verdict = overlap_legal(node)
+    verdict = overlap_legal(node, clauses)
     if not verdict.legal:
         report.diagnostics.append(make(
             "CI010", node.line, f"illegal overlap: {verdict.reason}",

@@ -16,7 +16,13 @@ import re
 from dataclasses import dataclass
 
 from repro.core.analysis.independence import buffer_names
-from repro.core.ir import Node, P2PNode, ParamRegionNode, RawCode
+from repro.core.ir import (
+    ClauseExprs,
+    Node,
+    P2PNode,
+    ParamRegionNode,
+    RawCode,
+)
 
 
 @dataclass(frozen=True)
@@ -38,12 +44,17 @@ def _body_text(nodes: list[Node]) -> str:
     return "\n".join(parts)
 
 
-def overlap_legal(node: P2PNode) -> OverlapVerdict:
-    """Check whether the body may overlap this directive's transfers."""
+def overlap_legal(node: P2PNode, clauses: ClauseExprs) -> OverlapVerdict:
+    """Check whether the body may overlap this directive's transfers.
+
+    ``clauses`` are the directive's effective clauses
+    (:meth:`repro.core.ir.Program.p2p_clauses`), so buffers its region
+    supplies count.
+    """
     text = _body_text(node.body)
     if not text.strip():
         return OverlapVerdict(True, "empty body")
-    for name in sorted(buffer_names(node.clauses)):
+    for name in sorted(buffer_names(clauses)):
         if re.search(rf"\b{re.escape(name)}\b", text):
             return OverlapVerdict(
                 False,

@@ -151,7 +151,9 @@ def simulate_program(program: Program, nprocs: int = 8, *,
     """
     default_target = Target.parse(target)
     machine = model if model is not None else gemini_model()
-    order, symmetric = _plan_buffers(program, default_target)
+    effective = {id(node): clauses
+                 for node, _scope, clauses in program.p2p_clauses()}
+    order, symmetric = _plan_buffers(program, effective, default_target)
     extras = dict(extra_vars or {})
     engine = Engine(nprocs, max_time=max_time, profile=profile,
                     sanitize=bool(sanitize), faults=faults)
@@ -164,8 +166,8 @@ def simulate_program(program: Program, nprocs: int = 8, *,
         variables: dict[str, Any] = {"nprocs": env.size,
                                      "size": env.size,
                                      "rank": env.rank, **extras}
-        _Executor(env, buffers, variables, default_target).run(
-            program.nodes)
+        _Executor(env, buffers, variables, default_target,
+                  effective).run(program.nodes)
         comm_flush(env)
         if not capture:
             return None
@@ -205,16 +207,19 @@ def simulate_all_targets(program: Program, nprocs: int = 8, *,
 # Buffer materialization
 
 
-def _plan_buffers(program: Program, default_target: Target
+def _plan_buffers(program: Program, effective: dict[int, ClauseExprs],
+                  default_target: Target
                   ) -> tuple[list[BufferDecl], frozenset[str]]:
     """Allocation order + the names that must be symmetric.
 
     SHMEM requires every receive buffer to be a symmetric object, and
     ``shmem.malloc`` is collective — every rank must allocate the same
     shapes in the same order. Planning statically (declaration order,
-    symmetric-or-not decided from the merged clauses) guarantees that.
+    symmetric-or-not decided from the ``effective`` clauses of every
+    directive) guarantees that.
     """
-    used = _used_buffer_names(program)
+    used = frozenset(base_identifier(b) for clauses in effective.values()
+                     for b in clauses.sbuf + clauses.rbuf)
     order: list[BufferDecl] = []
     for name, decl in program.decls.items():
         if name not in used:
@@ -234,36 +239,10 @@ def _plan_buffers(program: Program, default_target: Target
             f"directive buffers {missing} have no declaration")
     symmetric = frozenset(
         base_identifier(rb)
-        for clauses in _merged_clause_sets(program)
+        for clauses in effective.values()
         if (clauses.target or default_target) is Target.SHMEM
         for rb in clauses.rbuf)
     return order, symmetric
-
-
-def _used_buffer_names(program: Program) -> frozenset[str]:
-    names: set[str] = set()
-    for clauses in _merged_clause_sets(program):
-        for b in clauses.sbuf + clauses.rbuf:
-            names.add(base_identifier(b))
-    return frozenset(names)
-
-
-def _merged_clause_sets(program: Program) -> list[ClauseExprs]:
-    """Every comm_p2p's clauses with its region's merged in."""
-    out: list[ClauseExprs] = []
-
-    def walk(nodes: list[Node], region: ClauseExprs | None) -> None:
-        for node in nodes:
-            if isinstance(node, ParamRegionNode):
-                walk(node.body, node.clauses)
-            elif isinstance(node, P2PNode):
-                merged = (region.merged_into(node.clauses)
-                          if region is not None else node.clauses)
-                out.append(merged)
-                walk(node.body, region)
-
-    walk(program.nodes, None)
-    return out
 
 
 def _allocate(env: Env, order: list[BufferDecl],
@@ -290,24 +269,22 @@ class _Executor:
 
     def __init__(self, env: Env, buffers: dict[str, Any],
                  variables: dict[str, Any],
-                 default_target: Target) -> None:
+                 default_target: Target,
+                 effective: dict[int, ClauseExprs]) -> None:
         self.env = env
         self.buffers = buffers
         self.variables = variables
         self.default_target = default_target
+        self.effective = effective
 
     def run(self, nodes: list[Node]) -> None:
-        self._walk(nodes, None)
-
-    def _walk(self, nodes: list[Node],
-              region_clauses: ClauseExprs | None) -> None:
         for node in nodes:
             if isinstance(node, RawCode):
                 self._raw(node)
             elif isinstance(node, ParamRegionNode):
                 self._region(node)
             else:
-                self._p2p(node, region_clauses)
+                self._p2p(node)
 
     def _raw(self, node: RawCode) -> None:
         sanitizer = self.env.engine.sanitizer
@@ -381,12 +358,10 @@ class _Executor:
             kwargs["max_comm_iter"] = int(exprs.evaluate(
                 node.clauses.exprs["max_comm_iter"], self.variables))
         with comm_parameters(self.env, **kwargs):
-            self._walk(node.body, node.clauses)
+            self.run(node.body)
 
-    def _p2p(self, node: P2PNode,
-             region_clauses: ClauseExprs | None) -> None:
-        merged = (region_clauses.merged_into(node.clauses)
-                  if region_clauses is not None else node.clauses)
+    def _p2p(self, node: P2PNode) -> None:
+        merged = self.effective[id(node)]
         merged.require_complete()
         kwargs: dict[str, Any] = {
             "sender": self._rank_of(merged, "sender"),
@@ -410,7 +385,7 @@ class _Executor:
             with comm_p2p(self.env, **kwargs):
                 # The body is the overlap window: it executes while the
                 # posted transfers are in flight.
-                self._walk(node.body, region_clauses)
+                self.run(node.body)
         finally:
             if prof is not None:
                 prof.pop_label(self.env.rank)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core.analysis.independence import independent_groups
 from repro.core.clauses import SyncPlacement
-from repro.core.ir import P2PNode, ParamRegionNode, Program
+from repro.core.ir import ClauseExprs, P2PNode, ParamRegionNode, Program
 
 
 @dataclass
@@ -66,14 +66,15 @@ class SyncPlan:
     """The program's synchronization schedule."""
 
     points: list[SyncPoint] = field(default_factory=list)
-    #: Per-region intra-region dependent splits (extra syncs forced by
-    #: buffer dependences inside a region).
-    forced_splits: dict[int, int] = field(default_factory=dict)
+    #: ``(region, splits)`` per region whose instances' buffers force
+    #: extra syncs inside it, in textual order.
+    forced_splits: list[tuple[ParamRegionNode, int]] = field(
+        default_factory=list)
 
     @property
     def total_sync_calls(self) -> int:
         """Planned synchronization calls, incl. forced splits."""
-        return len(self.points) + sum(self.forced_splits.values())
+        return len(self.points) + sum(n for _, n in self.forced_splits)
 
     def naive_sync_calls(self, program: Program) -> int:
         """What unconsolidated code would emit: one wait per instance
@@ -90,19 +91,19 @@ class SyncPlan:
 def plan_synchronization(program: Program) -> SyncPlan:
     """Compute the consolidated synchronization schedule."""
     plan = SyncPlan()
+    effective = {id(node): clauses
+                 for node, _scope, clauses in program.p2p_clauses()}
     for chain in program.adjacent_region_chains():
-        _plan_chain(plan, chain)
+        _plan_chain(plan, chain, effective)
     # Standalone p2p directives (outside any region) sync individually.
-    region_members = set()
-    for r in program.regions():
-        region_members.update(id(p) for p in r.p2p_instances())
     for node in program.nodes:
-        if isinstance(node, P2PNode) and id(node) not in region_members:
+        if isinstance(node, P2PNode):
             plan.points.append(SyncPoint("end", node, 1))
     return plan
 
 
-def _plan_chain(plan: SyncPlan, chain: list[ParamRegionNode]) -> None:
+def _plan_chain(plan: SyncPlan, chain: list[ParamRegionNode],
+                effective: dict[int, ClauseExprs]) -> None:
     adj_group: list[ParamRegionNode] = []
 
     def flush_adj_group() -> None:
@@ -118,11 +119,11 @@ def _plan_chain(plan: SyncPlan, chain: list[ParamRegionNode]) -> None:
     deferred_from_prev: ParamRegionNode | None = None
     for region in chain:
         instances = region.p2p_instances()
-        groups = independent_groups(instances)
+        groups = independent_groups(instances, effective)
         # Dependent splits inside the region force extra syncs before
         # the final placement-controlled one.
         if len(groups) > 1:
-            plan.forced_splits[id(region)] = len(groups) - 1
+            plan.forced_splits.append((region, len(groups) - 1))
 
         if deferred_from_prev is not None:
             covered = len(deferred_from_prev.p2p_instances())

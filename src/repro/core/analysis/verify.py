@@ -125,19 +125,23 @@ class _RankTracer:
     a pending set; plan points (and forced dependent flushes) emit SYNC
     events completing the pending handles, subject to the configured
     weakening. The walk is target-independent: each handle records only
-    its directive's own ``target`` clause (None = the default), and
-    :func:`_label` resolves it per lowering target.
+    its directive's effective ``target`` clause (None = the default),
+    and :func:`_label` resolves it per lowering target. ``scope`` maps
+    ``id(node)`` to the ``id`` of the directive's scope region (None when
+    standalone) and its effective clauses
+    (:meth:`repro.core.ir.Program.p2p_clauses`); the ids keep a cached
+    walk from holding the program's IR.
     """
 
     def __init__(self, rank: int, nprocs: int, variables: dict[str, int],
-                 plan_points: dict[tuple[int, str], int],
+                 scope: dict[int, tuple[int | None, ClauseExprs]],
                  rbuf_names: frozenset[str],
                  weakening: str | None,
                  buffer_names: frozenset[str] = frozenset()) -> None:
         self.rank = rank
         self.nprocs = nprocs
         self.variables = variables
-        self.plan_points = plan_points
+        self.scope = scope
         self.rbuf_names = rbuf_names
         self.buffer_names = buffer_names or rbuf_names
         self.weakening = weakening
@@ -192,7 +196,7 @@ class _RankTracer:
 
     def run(self, nodes: list[Node]) -> None:
         """Execute the whole program on this rank."""
-        self._walk(nodes, region=None, region_clauses=None)
+        self._walk(nodes)
         # The runtime flushes any carried synchronization when the rank
         # finishes (the trailing comm_flush of
         # :func:`repro.core.analysis.progsim.simulate_program`); a
@@ -202,8 +206,7 @@ class _RankTracer:
             last = self.trace[-1].line if self.trace else 0
             self._emit_sync(last + 1)
 
-    def _walk(self, nodes: list[Node], region: ParamRegionNode | None,
-              region_clauses: ClauseExprs | None) -> None:
+    def _walk(self, nodes: list[Node]) -> None:
         for node in nodes:
             if isinstance(node, RawCode):
                 self._scan_uses(node)
@@ -222,14 +225,14 @@ class _RankTracer:
                       is not SyncPlacement.END_ADJ_PARAM_REGIONS):
                     self._emit_sync(node.line)
                     self.carry_mode = None
-                self._walk(node.body, node, node.clauses)
+                self._walk(node.body)
                 if placement is SyncPlacement.END_PARAM_REGION:
                     self._emit_sync(node.line)
                     self.carry_mode = None
                 else:
                     self.carry_mode = placement
             elif isinstance(node, P2PNode):
-                self._directive(node, region, region_clauses)
+                self._directive(node)
 
     def _scan_uses(self, node: RawCode) -> None:
         text = "\n".join(node.lines)
@@ -249,14 +252,12 @@ class _RankTracer:
         if reads or writes:
             self._event(hb.USE, node.line, names=reads, writes=writes)
 
-    def _directive(self, node: P2PNode, region: ParamRegionNode | None,
-                   region_clauses: ClauseExprs | None) -> None:
-        clauses = (region_clauses.merged_into(node.clauses)
-                   if region_clauses is not None else node.clauses)
+    def _directive(self, node: P2PNode) -> None:
+        region_key, clauses = self.scope[id(node)]
         resolved = _resolve(clauses, self.variables)
         target = (clauses.target.value if clauses.target is not None
                   else None)
-        standalone = region is None
+        standalone = region_key is None
         pending_box = [] if standalone else self.pending
 
         posted: list[hb.Handle] = []
@@ -272,9 +273,8 @@ class _RankTracer:
                 # whose buffers alias pending communication — a
                 # standalone comm_p2p drains carried sync too, it just
                 # keeps its own handles in its own set afterwards.
-                here = id(region) if region is not None else None
                 cross = any(live_names & h.names
-                            and h.region_key != here
+                            and h.region_key != region_key
                             for h in self.pending)
                 self.downgrades.append(_Downgrade(
                     node.line, live_names, cross))
@@ -289,7 +289,7 @@ class _RankTracer:
                     posted.append(self._post("recv", node, src,
                                              frozenset({
                                                  base_identifier(rb)}),
-                                             target, region, rb))
+                                             target, region_key, rb))
             if sends_here and 0 <= dst < self.nprocs:
                 for i, sb in enumerate(clauses.sbuf):
                     # The runtime zips sbuf with rbuf: send i delivers
@@ -299,12 +299,12 @@ class _RankTracer:
                     posted.append(self._post("send", node, dst,
                                              frozenset({
                                                  base_identifier(sb)}),
-                                             target, region, sb,
+                                             target, region_key, sb,
                                              dest_expr=dest))
             pending_box.extend(posted)
 
         self._enclosing.append(node.line)
-        self._walk(node.body, region, region_clauses)
+        self._walk(node.body)
         self._enclosing.pop()
 
         if standalone:
@@ -317,7 +317,7 @@ class _RankTracer:
 
     def _post(self, kind: str, node: P2PNode, peer: int,
               names: frozenset[str], target: str | None,
-              region: ParamRegionNode | None,
+              region_key: int | None,
               expr: str = "", dest_expr: str = "") -> hb.Handle:
         event = self._event(hb.POST_SEND if kind == "send"
                             else hb.POST_RECV,
@@ -327,8 +327,7 @@ class _RankTracer:
                            post=event, directive=node.line, names=names,
                            target=target, expr=expr,
                            dest_expr=dest_expr,
-                           region_key=(id(region) if region is not None
-                                       else None))
+                           region_key=region_key)
         self.handles.append(handle)
         return handle
 
@@ -400,14 +399,6 @@ def _label(tracers: list[_RankTracer], target: Target) -> list[_RankView]:
                    region_key=h.region_key)
          for h in t.handles])
         for t in tracers]
-
-
-def _plan_point_map(plan: SyncPlan) -> dict[tuple[int, str], int]:
-    """(node id, position) -> source line of the attached sync call."""
-    points: dict[tuple[int, str], int] = {}
-    for point in plan.points:
-        points[(id(point.node), point.position)] = point.node.line
-    return points
 
 
 def _match(tracers: list[_RankView]) -> None:
@@ -657,7 +648,7 @@ def _plan_fingerprint(plan: SyncPlan) -> tuple[tuple[int, str], ...]:
 
 
 def _walk(program: Program, nprocs: int,
-          extra_vars: dict[str, int] | None, plan: SyncPlan,
+          extra_vars: dict[str, int] | None,
           weakening: str | None) -> hb.CachedUnroll:
     """Symbolically execute the program on every rank, once for every
     lowering target."""
@@ -667,12 +658,13 @@ def _walk(program: Program, nprocs: int,
     buffer_names = frozenset(program.decls) | rbuf_names | frozenset(
         base_identifier(e) for node in program.all_p2p()
         for e in node.clauses.sbuf)
-    plan_points = _plan_point_map(plan)
+    scope = {id(node): (None if region is None else id(region), clauses)
+             for node, region, clauses in program.p2p_clauses()}
     tracers: list[_RankTracer] = []
     for rank in range(nprocs):
         variables = {"nprocs": nprocs, "size": nprocs,
                      **(extra_vars or {}), "rank": rank}
-        tracer = _RankTracer(rank, nprocs, variables, plan_points,
+        tracer = _RankTracer(rank, nprocs, variables, scope,
                              rbuf_names, weakening, buffer_names)
         tracer.run(program.nodes)
         tracers.append(tracer)
@@ -685,12 +677,12 @@ def _shared_walk(program: Program, nprocs: int,
     """The walk of (program, nprocs, extra_vars, weakening, plan),
     from :data:`repro.core.analysis.hb.GRAPH_CACHE` when ``cache``."""
     if not cache:
-        return _walk(program, nprocs, extra_vars, plan, weakening)
+        return _walk(program, nprocs, extra_vars, weakening)
     key = hb.unroll_key(program.to_source(), nprocs, extra_vars,
                         weakening, _plan_fingerprint(plan))
     walk = hb.GRAPH_CACHE.get(key)
     if walk is None:
-        walk = _walk(program, nprocs, extra_vars, plan, weakening)
+        walk = _walk(program, nprocs, extra_vars, weakening)
         hb.GRAPH_CACHE.put(key, walk)
     return walk
 
@@ -850,11 +842,9 @@ def _loop_varying_lines(program: Program) -> frozenset[int]:
     """
     lines: set[int] = set()
     for node, region, clauses in program.p2p_clauses():
-        # max_comm_iter is region-level only and stripped by the merge.
-        iterates = ("max_comm_iter" in node.clauses.exprs
-                    or (region is not None
-                        and "max_comm_iter" in region.clauses.exprs))
-        if not iterates:
+        # max_comm_iter never merges down: it counts the executions in
+        # the directive's scope region.
+        if region is None or "max_comm_iter" not in region.clauses.exprs:
             continue
         names: set[str] = set()
         for k in ("sender", "receiver", "sendwhen", "receivewhen"):

@@ -13,8 +13,10 @@ paper's:
   to two-sided non-blocking MPI;
 * ``count`` may be omitted only when at least one listed buffer is an
   array — the inferred message size is the *smallest* array length;
-* a ``comm_parameters`` region's clauses apply to every ``comm_p2p``
-  inside it, with instance clauses overriding.
+* a ``comm_p2p``'s clauses are those of its innermost enclosing
+  ``comm_parameters`` region, with instance clauses overriding and the
+  region-only clauses never merging down (:func:`override`; the one
+  static implementation is :meth:`repro.core.ir.Program.p2p_clauses`).
 
 The checks split by what they depend on. :func:`check_names` and
 :func:`p2p_plan` read only clause *names*, so they are memoised and a

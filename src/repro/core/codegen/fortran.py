@@ -9,8 +9,6 @@ This demonstrates the multi-language back end without a Fortran parser.
 
 from __future__ import annotations
 
-import copy
-
 from repro.core.analysis.infer import infer_count_static, infer_element_type
 from repro.core.analysis.syncopt import plan_synchronization
 from repro.core.clauses import Target
@@ -36,9 +34,6 @@ def generate_fortran(program: Program,
                      default_target: Target = Target.MPI_2SIDE,
                      name: str = "cd_translated") -> str:
     """Emit a Fortran subroutine with the translated communication."""
-    # The clause-merging pass below rewrites instance clauses; work on a
-    # copy so the caller's IR (possibly shared with generate_c) is safe.
-    program = copy.deepcopy(program)
     lines: list[str] = [
         f"subroutine {name}(rank, nprocs)",
         "  use mpi",
@@ -49,6 +44,8 @@ def generate_fortran(program: Program,
         "  cd_nreq = 0",
     ]
     plan = plan_synchronization(program)
+    effective = {id(node): clauses
+                 for node, _scope, clauses in program.p2p_clauses()}
     end_syncs = {id(p.node) for p in plan.points if p.position == "end"}
     begin_syncs = {id(p.node) for p in plan.points
                    if p.position == "begin"}
@@ -83,16 +80,11 @@ def generate_fortran(program: Program,
 
     def emit_p2p(node: P2PNode, depth: int) -> None:
         pad = "  " * (depth + 1)
-        cl = node.clauses
-        # Top-level standalone use: clauses must already be complete;
-        # region merging happened structurally (regions carry their own
-        # emit path above), so resolve against the innermost region via
-        # the parser-provided nesting.
-        count = infer_count_static(cl, program.decls) \
-            if cl.has("sbuf") else "1"
-        ctype = infer_element_type(cl, program.decls) \
-            if cl.has("sbuf") else None
-        if isinstance(ctype, CompositeType) or ctype is None:
+        cl = effective[id(node)]
+        cl.require_complete()
+        count = infer_count_static(cl, program.decls)
+        ctype = infer_element_type(cl, program.decls)
+        if isinstance(ctype, CompositeType):
             ftype = "MPI_BYTE"
         else:
             ftype = _F_TYPES.get(ctype.mpi_name, "MPI_BYTE")
@@ -122,19 +114,6 @@ def generate_fortran(program: Program,
             lines.append(f"{pad}end if")
         emit_nodes(node.body, depth + 1)
 
-    # Merge region clauses into instances up front so emit_p2p sees
-    # complete clause sets.
-    def merge(nodes: list[Node], region: ParamRegionNode | None) -> None:
-        for node in nodes:
-            if isinstance(node, ParamRegionNode):
-                merge(node.body, node)
-            elif isinstance(node, P2PNode):
-                if region is not None:
-                    node.clauses = region.clauses.merged_into(node.clauses)
-                node.clauses.require_complete()
-                merge(node.body, region)
-
-    merge(program.nodes, None)
     emit_nodes(program.nodes, 0)
     lines.append(f"end subroutine {name}")
     return "\n".join(lines) + "\n"

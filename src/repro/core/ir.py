@@ -234,19 +234,29 @@ class Program:
 
     def p2p_clauses(self) -> list[tuple[P2PNode, ParamRegionNode | None,
                                         ClauseExprs]]:
-        """Every comm_p2p node with its top-level region (None when
-        standalone) and its effective clauses (the region's merged into
-        the instance's), in textual order."""
-        region_of: dict[int, ParamRegionNode] = {}
-        for region in self.regions():
-            for node in region.p2p_instances():
-                region_of.setdefault(id(node), region)
+        """Every comm_p2p node with its scope and effective clauses, in
+        textual order.
+
+        The one static implementation of the Section III-A scoping
+        rule, as the runtime applies it: the scope is the innermost
+        enclosing ``comm_parameters`` region (None for a standalone
+        instance), and the effective clauses are that region's with the
+        instance's own overriding them. Outer regions contribute
+        nothing, and ``place_sync``/``max_comm_iter`` never merge down.
+        """
         out: list[tuple[P2PNode, ParamRegionNode | None, ClauseExprs]] = []
-        for node in self.all_p2p():
-            owner = region_of.get(id(node))
-            out.append((node, owner,
-                        owner.clauses.merged_into(node.clauses)
-                        if owner is not None else node.clauses))
+
+        def walk(nodes: list[Node], scope: ParamRegionNode | None) -> None:
+            for n in nodes:
+                if isinstance(n, P2PNode):
+                    out.append((n, scope,
+                                scope.clauses.merged_into(n.clauses)
+                                if scope is not None else n.clauses))
+                    walk(n.body, scope)
+                elif isinstance(n, ParamRegionNode):
+                    walk(n.body, n)
+
+        walk(self.nodes, None)
         return out
 
     def adjacent_region_chains(self) -> list[list[ParamRegionNode]]:

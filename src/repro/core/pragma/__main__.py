@@ -66,10 +66,10 @@ def _analyze(program, nprocs: int) -> str:
     lines.append(f"sync plan: {plan.total_sync_calls} call(s), "
                  f"{plan.reduction_factor(program):.1f}x fewer than "
                  "per-instance synchronization")
-    for i, node in enumerate(program.all_p2p()):
+    for i, (node, _scope, clauses) in enumerate(program.p2p_clauses()):
         lines.append(f"-- comm_p2p #{i} (line {node.line})")
         try:
-            graph = comm_graph(node.clauses, nprocs)
+            graph = comm_graph(clauses, nprocs)
             lines.append(f"   pattern ({nprocs} ranks): "
                          f"{classify_pattern(graph)}; "
                          f"{len(graph.edges)} edge(s)")
@@ -81,7 +81,7 @@ def _analyze(program, nprocs: int) -> str:
                 lines.append("   matching: consistent")
         except ReproError as exc:
             lines.append(f"   pattern: not statically evaluable ({exc})")
-        verdict = overlap_legal(node)
+        verdict = overlap_legal(node, clauses)
         lines.append(f"   overlap legal: {verdict.legal} "
                      f"({verdict.reason})")
     return "\n".join(lines)
@@ -303,7 +303,9 @@ def main_lint(argv: list[str] | None = None) -> int:
 
     fixes: dict[str, FixResult] = {}
     if do_fix:
-        for path, source in sources:
+        # One proof and one write per distinct path, however often it
+        # is named.
+        for path, source in dict(sources).items():
             try:
                 parse_program(source)
             except ReproError:

@@ -76,7 +76,8 @@ class TestIndependence:
         a = p2p(["a"], ["b"])
         b = p2p(["c"], ["d"])
         c = p2p(["a"], ["e"])  # depends on group {a, b}
-        groups = independent_groups([a, b, c])
+        groups = independent_groups(
+            [a, b, c], {id(n): n.clauses for n in (a, b, c)})
         assert [len(g) for g in groups] == [2, 1]
 
     def test_buffer_names_collects_both_sides(self):
@@ -137,7 +138,7 @@ class TestSyncPlanning:
         r = self.region([p2p(["a"], ["b"]), p2p(["b"], ["c"])])
         prog = Program(nodes=[r])
         plan = plan_synchronization(prog)
-        assert plan.forced_splits[id(r)] == 1
+        assert plan.forced_splits == [(r, 1)]
         assert plan.total_sync_calls == 2
 
     def test_reduction_factor_zero_sync_points(self):
@@ -300,29 +301,29 @@ class TestDataflow:
 class TestOverlap:
     def test_empty_body_legal(self):
         node = p2p(["a"], ["b"])
-        assert overlap_legal(node).legal
+        assert overlap_legal(node, node.clauses).legal
 
     def test_independent_body_legal(self):
         node = p2p(["a"], ["b"],
                    body=[RawCode(lines=["compute(x, y);"])])
-        assert overlap_legal(node).legal
+        assert overlap_legal(node, node.clauses).legal
 
     def test_body_touching_rbuf_illegal(self):
         node = p2p(["a"], ["b"],
                    body=[RawCode(lines=["use(b);"])])
-        v = overlap_legal(node)
+        v = overlap_legal(node, node.clauses)
         assert not v.legal
         assert "b" in v.reason
 
     def test_body_touching_sbuf_illegal(self):
         node = p2p(["a"], ["b"],
                    body=[RawCode(lines=["a[0] = 1;"])])
-        assert not overlap_legal(node).legal
+        assert not overlap_legal(node, node.clauses).legal
 
     def test_substring_name_not_confused(self):
         node = p2p(["a"], ["b"],
                    body=[RawCode(lines=["about = 1; ab = 2;"])])
-        assert overlap_legal(node).legal
+        assert overlap_legal(node, node.clauses).legal
 
 
 class TestPlanEdgeCases:
@@ -361,7 +362,7 @@ class TestPlanEdgeCases:
         assert point.node is r
         assert point.covered_instances == 1
         assert point.p2p_instances() == [node]
-        assert plan.forced_splits == {}
+        assert plan.forced_splits == []
 
     def test_nonempty_points_all_cover_instances(self):
         mixed = [
@@ -399,4 +400,4 @@ class TestSingleRankGraphs:
         node = p2p(["a"], ["b"],
                    body=[RawCode(lines=["use(b);"])],
                    sender="0", receiver="0")
-        assert not overlap_legal(node).legal
+        assert not overlap_legal(node, node.clauses).legal

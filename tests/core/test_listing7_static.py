@@ -56,8 +56,8 @@ class TestListing7:
         """The body touches neither ev nor evec — exactly the paper's
         claim that the first core-state computation is independent of
         the spin configurations."""
-        node = program.regions()[0].p2p_instances()[0]
-        assert overlap_legal(node).legal
+        [(node, _scope, clauses)] = program.p2p_clauses()
+        assert overlap_legal(node, clauses).legal
 
     def test_translation_emits_overlapped_structure(self, program):
         out = generate_c(program)

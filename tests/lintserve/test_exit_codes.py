@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.analysis.fix import fix_source
 from repro.core.pragma.__main__ import main_lint
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "pragmas"
@@ -94,3 +95,15 @@ def test_fix_with_a_missing_later_file_rewrites_nothing(tmp_path,
     # vacuous.
     assert main_lint([str(slow), "--fix"]) == 0
     assert slow.read_bytes() != before
+
+
+def test_fix_proves_and_writes_a_repeated_path_once(tmp_path, capsys):
+    dup = tmp_path / "dup.c"
+    shutil.copy(SLOW, dup)
+    expected = fix_source(dup.read_text(encoding="utf-8")).source
+    assert main_lint([str(dup), str(dup), "--fix"]) == 0
+    err = capsys.readouterr().err
+    fixed = [ln for ln in err.splitlines()
+             if ln.startswith("repro-lint: fixed")]
+    assert fixed == [f"repro-lint: fixed {dup} (1 rewrite(s) proven)"]
+    assert dup.read_text(encoding="utf-8") == expected

@@ -20,6 +20,7 @@ from repro.core.pragma import parse_program
 from repro.errors import RaceError
 from repro.faults.fuzz import CASES, FUZZ_TARGETS, FUZZ_WATCHDOG
 from repro.sim import Engine
+from repro.sim.sanitizer import Access
 
 ROOT = Path(__file__).resolve().parents[2]
 RACES_DIR = ROOT / "examples" / "pragmas" / "races"
@@ -105,3 +106,21 @@ class TestPositiveControl:
             simulate_example("races/send_reuse.c",
                              "TARGET_COMM_MPI_2SIDE")
         assert exc.value.kind == "read-write"
+
+
+class TestIntervalOverlap:
+    """Byte intervals are half-open: one shared byte is a conflict,
+    touching ends are not."""
+
+    @staticmethod
+    def access(lo, hi):
+        return Access(lo=lo, hi=hi, kind="write", rank=0, label="",
+                      rel_lo=lo, rel_hi=hi, vc=[0])
+
+    def test_one_byte_overlap(self):
+        assert self.access(0, 8).overlaps(self.access(7, 15))
+        assert self.access(7, 15).overlaps(self.access(0, 8))
+
+    def test_touching_intervals_do_not_overlap(self):
+        assert not self.access(0, 8).overlaps(self.access(8, 16))
+        assert not self.access(8, 16).overlaps(self.access(0, 8))
