@@ -100,6 +100,12 @@ RULES: dict[str, Rule] = {r.code: r for r in (
     Rule("CI032", "not-evaluable", "info",
          "clause expressions reference names with no static value; the "
          "pattern cannot be unrolled for this world"),
+    Rule("CI033", "max-comm-iter-overflow", "error",
+         "a comm_parameters region declares max_comm_iter(k) but holds "
+         "more than k comm_p2p instances; the generated synchronization "
+         "bookkeeping overflows (the runtime raises ClauseError)",
+         "raise max_comm_iter to the number of comm_p2p instances the "
+         "region holds, or split the region"),
     Rule("CI040", "race-write-write", "error",
          "two unordered writes touch overlapping bytes of one buffer "
          "inside an open communication window; the final contents are "

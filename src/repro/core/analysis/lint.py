@@ -20,9 +20,11 @@ code-scanning UIs), and the ``repro-lint`` console entry point
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core import exprs
 from repro.core.analysis.codes import RULES, Diagnostic, help_uri, make
 from repro.core.analysis.dataflow import (
     classify_pattern,
@@ -34,7 +36,7 @@ from repro.core.analysis.overlap import overlap_legal
 from repro.core.analysis.syncopt import SyncPlan, plan_synchronization
 from repro.core.analysis.verify import verify_all_targets
 from repro.core.clauses import Target
-from repro.core.ir import ClauseExprs, P2PNode, Program
+from repro.core.ir import ClauseExprs, P2PNode, ParamRegionNode, Program
 from repro.errors import ReproError, VerificationError
 
 #: MatchingIssue.kind -> diagnostic code.
@@ -269,10 +271,39 @@ def structure_report(program: Program, nprocs: int = 8,
             "synchronization cannot fully consolidate",
             target="*"))
 
-    for node, _region, clauses in program.p2p_clauses():
+    scopes: dict[int, ParamRegionNode] = {}
+    held: Counter[int] = Counter()
+    for node, scope, clauses in program.p2p_clauses():
         _lint_directive(program, node, clauses, nprocs, extra_vars,
                         report)
+        if scope is not None:
+            scopes[id(scope)] = scope
+            held[id(scope)] += 1
+    for key, region in scopes.items():
+        _lint_max_comm_iter(region, held[key], nprocs, extra_vars, report)
     return report
+
+
+def _lint_max_comm_iter(region: ParamRegionNode, instances: int,
+                        nprocs: int, extra_vars: dict[str, int] | None,
+                        report: LintReport) -> None:
+    """CI033 when ``region`` holds more ``comm_p2p`` instances than its
+    ``max_comm_iter`` admits. Each instance whose innermost region is
+    ``region`` executes once per region entry, which is what the
+    runtime counts against the limit."""
+    expr = region.clauses.exprs.get("max_comm_iter")
+    if expr is None:
+        return
+    try:
+        limit = exprs.evaluate(expr, {"nprocs": nprocs, "size": nprocs,
+                                      **(extra_vars or {})})
+    except ReproError:
+        return  # rank-dependent or unbound: left to the runtime check
+    if isinstance(limit, int) and instances > limit:
+        report.diagnostics.append(make(
+            "CI033", region.line,
+            f"region holds {instances} comm_p2p instance(s) but "
+            f"max_comm_iter({expr}) admits {limit}", target="*"))
 
 
 def advise_diagnostics(program: Program, nprocs: int,

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -62,8 +62,8 @@ from repro.sim import Engine
 from repro.sim.process import Env
 from repro.sim.stats import SimStats
 
-__all__ = ["ProgramSimError", "SimOutcome", "simulate_program",
-           "simulate_all_targets"]
+__all__ = ["ProgramSimError", "SimOutcome", "program_main",
+           "simulate_program", "simulate_all_targets"]
 
 #: ``compute_us(<expr>)`` in raw code charges modeled microseconds.
 _COMPUTE = re.compile(r"\bcompute_us\s*\(([^()]*)\)")
@@ -149,16 +149,46 @@ def simulate_program(program: Program, nprocs: int = 8, *,
     buffer are returned on :attr:`SimOutcome.payloads`, one dict per
     rank, for bit-for-bit comparison across lowering targets.
     """
+    main = program_main(program, target=target, extra_vars=extra_vars,
+                        model=model, capture=capture)
+    engine = Engine(nprocs, max_time=max_time, profile=profile,
+                    sanitize=bool(sanitize), faults=faults)
+    if sanitize == "collect" and engine.sanitizer is not None:
+        engine.sanitizer.collect = True
+    result = engine.run(main)
+    times = tuple(result.finish_times)
+    races: tuple[str, ...] = ()
+    if engine.sanitizer is not None and engine.sanitizer.collect:
+        races = tuple(str(r) for r in engine.sanitizer.races)
+    return SimOutcome(nprocs=nprocs, target=Target.parse(target).value,
+                      modeled_time=max(times), finish_times=times,
+                      profile=result.profile, stats=engine.stats,
+                      payloads=(tuple(result.values) if capture
+                                else None),
+                      races=races)
+
+
+def program_main(program: Program, *,
+                 target: Target | str = DEFAULT_TARGET,
+                 extra_vars: dict[str, int] | None = None,
+                 model: MachineModel | None = None,
+                 capture: bool = False
+                 ) -> Callable[[Env], dict[str, list[float]] | None]:
+    """The per-rank entry point that replays ``program`` on one rank.
+
+    :func:`simulate_program` runs it on a fresh engine; callers that
+    own the engine (the recovery runtime re-runs it at every world
+    size it recovers to) run it directly. Partners and guards are
+    evaluated at the running ``env.size``. Arguments are as in
+    :func:`simulate_program`; with ``capture=True`` each rank returns
+    its ``{buffer name: element list}`` payload.
+    """
     default_target = Target.parse(target)
     machine = model if model is not None else gemini_model()
     effective = {id(node): clauses
                  for node, _scope, clauses in program.p2p_clauses()}
     order, symmetric = _plan_buffers(program, effective, default_target)
     extras = dict(extra_vars or {})
-    engine = Engine(nprocs, max_time=max_time, profile=profile,
-                    sanitize=bool(sanitize), faults=faults)
-    if sanitize == "collect" and engine.sanitizer is not None:
-        engine.sanitizer.collect = True
 
     def main(env: Env) -> dict[str, list[float]] | None:
         mpi.init(env, machine)  # fix the machine model for all targets
@@ -175,17 +205,7 @@ def simulate_program(program: Program, nprocs: int = 8, *,
             buf.data if hasattr(buf, "data") else buf
         ).reshape(-1).tolist() for name, buf in buffers.items()}
 
-    result = engine.run(main)
-    times = tuple(result.finish_times)
-    races: tuple[str, ...] = ()
-    if engine.sanitizer is not None and engine.sanitizer.collect:
-        races = tuple(str(r) for r in engine.sanitizer.races)
-    return SimOutcome(nprocs=nprocs, target=default_target.value,
-                      modeled_time=max(times), finish_times=times,
-                      profile=result.profile, stats=engine.stats,
-                      payloads=(tuple(result.values) if capture
-                                else None),
-                      races=races)
+    return main
 
 
 def simulate_all_targets(program: Program, nprocs: int = 8, *,

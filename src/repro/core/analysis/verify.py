@@ -652,14 +652,14 @@ def _walk(program: Program, nprocs: int,
           weakening: str | None) -> hb.CachedUnroll:
     """Symbolically execute the program on every rank, once for every
     lowering target."""
-    rbuf_names = frozenset(
-        base_identifier(e) for node in program.all_p2p()
-        for e in node.clauses.rbuf)
-    buffer_names = frozenset(program.decls) | rbuf_names | frozenset(
-        base_identifier(e) for node in program.all_p2p()
-        for e in node.clauses.sbuf)
     scope = {id(node): (None if region is None else id(region), clauses)
              for node, region, clauses in program.p2p_clauses()}
+    rbuf_names = frozenset(
+        base_identifier(e) for _, clauses in scope.values()
+        for e in clauses.rbuf)
+    buffer_names = frozenset(program.decls) | rbuf_names | frozenset(
+        base_identifier(e) for _, clauses in scope.values()
+        for e in clauses.sbuf)
     tracers: list[_RankTracer] = []
     for rank in range(nprocs):
         variables = {"nprocs": nprocs, "size": nprocs,

@@ -41,13 +41,10 @@ from repro.core.analysis import (
     render_sarif,
     validate_matching,
 )
-from repro.core.analysis.independence import base_identifier
 from repro.core.analysis.lint import LintReport
 from repro.core.clauses import Target
 from repro.core.codegen import generate_c, generate_fortran
-from repro.core.ir import BufferDecl, P2PNode, Program
 from repro.core.pragma import parse_program
-from repro.dtypes.primitives import DOUBLE
 from repro.errors import ReproError
 from repro.lintserve import ResultCache, lint_sources
 
@@ -129,11 +126,6 @@ def main(argv: list[str] | None = None) -> int:
 # repro-lint
 
 
-#: Default bindings for free names used by the pattern catalog's clause
-#: sets (``--catalog``); ``--var`` overrides.
-_CATALOG_VARS = {"root": 0, "peer": 1, "n": 4, "p": 0}
-
-
 def _parse_vars(pairs: list[str]) -> dict[str, int]:
     out: dict[str, int] = {}
     for pair in pairs:
@@ -145,50 +137,28 @@ def _parse_vars(pairs: list[str]) -> dict[str, int]:
     return out
 
 
-def _catalog_reports(nprocs: int, extra_vars: dict[str, int],
-                     targets: list[Target] | None = None,
+def _catalog_reports(targets: list[Target] | None = None,
                      advise: bool = False,
                      fixes: dict[str, FixResult] | None = None
                      ) -> list[LintReport]:
-    """Lint every pattern catalog entry that carries static clauses.
+    """Lint every pattern catalog entry's pragma text.
 
-    When ``fixes`` is given, each entry is also run through the
-    proof-carrying fix engine (dry-run: catalog programs have no file
+    Each text is linted at its registry world size with its registry
+    bindings. When ``fixes`` is given, each entry is also run through
+    the proof-carrying fix engine (dry-run: catalog texts have no file
     to write back to) and the resulting ledger is stored under the
     entry's ``catalog:<name>`` path.
     """
     from repro.patterns.catalog import PATTERNS
 
     reports: list[LintReport] = []
-    variables = dict(_CATALOG_VARS)
-    variables.update(extra_vars)
     for name, spec in sorted(PATTERNS.items()):
-        clauses = spec.clauses()
-        if clauses is None:
-            continue  # runtime-only pattern (e.g. butterfly)
-        program = Program(nodes=[P2PNode(clauses=clauses, line=1)])
-        for expr in (*clauses.sbuf, *clauses.rbuf):
-            base = base_identifier(expr)
-            program.decls.setdefault(
-                base, BufferDecl(base, DOUBLE, length=1024))
-        report = lint_program(program, nprocs=nprocs,
-                              extra_vars=variables,
-                              path=f"catalog:{name}",
-                              targets=targets, advise=advise)
-        reports.append(report)
+        reports.append(lint_program(
+            spec.program(), nprocs=spec.nprocs, extra_vars=spec.bindings,
+            path=f"catalog:{name}", targets=targets, advise=advise))
         if fixes is not None:
-            decls = "\n".join(f"double {base}[1024];"
-                              for base in sorted(program.decls))
-            source = f"{decls}\n\n{program.to_source()}"
-            try:
-                # Some catalog clause sets use parameters-only clauses
-                # on a bare directive and have no pragma source form;
-                # the fix engine only works on printable programs.
-                parse_program(source)
-            except ReproError:
-                continue
             fixes[f"catalog:{name}"] = fix_source(
-                source, nprocs=nprocs, extra_vars=variables)
+                spec.source, nprocs=spec.nprocs, extra_vars=spec.bindings)
     return reports
 
 
@@ -233,7 +203,8 @@ def main_lint(argv: list[str] | None = None) -> int:
                              "(repeatable)")
     parser.add_argument("--catalog", action="store_true",
                         help="also lint the built-in pattern catalog's "
-                             "static clause sets")
+                             "pragma texts (each at its own world size "
+                             "and bindings)")
     parser.add_argument("--target", choices=sorted(_TARGETS),
                         default=None,
                         help="restrict the verifier sweep to one "
@@ -325,7 +296,7 @@ def main_lint(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
     if args.catalog:
         reports.extend(_catalog_reports(
-            args.nprocs, extra_vars, targets=targets, advise=advise,
+            targets=targets, advise=advise,
             fixes=fixes if do_fix else None))
 
     if args.jobs is not None or cache is not None:

@@ -23,7 +23,6 @@ Typical use::
 from repro.faults.chaos import (
     SOAK_CASES,
     SOAK_NAMES,
-    ChaosCase,
     ChaosFailure,
     chaos_one,
     chaos_plan,
@@ -50,7 +49,6 @@ __all__ = [
     "SOAK_CASES",
     "SOAK_NAMES",
     "STATIC_TWINS",
-    "ChaosCase",
     "ChaosFailure",
     "FaultInjector",
     "FaultPlan",

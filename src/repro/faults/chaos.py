@@ -4,15 +4,16 @@ Where :mod:`repro.faults.fuzz` attacks the *sync plan* (is the data
 valid once synchronization ran?), the chaos soak attacks the *recovery
 runtime* (:mod:`repro.recovery`): seed-deterministic plans that crash
 one or two ranks mid-run — on top of message drops and a scheduled
-stall — are thrown at every catalog pattern on every lowering target,
-under both ULFM-style policies. Each run must
+stall — are thrown at registry patterns' texts, replayed through the
+program simulator on every lowering target, under both ULFM-style
+policies. Each run must
 
 * **complete** (the recovery loop converges within its episode budget),
 * **be bit-exact**: respawn reproduces the unfaulted baseline at the
   original world size; shrink reproduces the unfaulted baseline at the
-  *final* (shrunk) world size — the pattern programs derive all
-  partners from ``env.rank``/``env.size``, so re-running at the
-  survivor count *is* the ULFM re-map,
+  *final* (shrunk) world size — the pattern texts derive all
+  partners from ``rank``/``nprocs``, so re-running at the survivor
+  count *is* the ULFM re-map,
 * **bound its retries**: every retransmission attempt recorded in the
   profile stays under the policy's ``max_retries``.
 
@@ -29,24 +30,14 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import numpy as np
-
-from repro import mpi
-from repro.core import comm_parameters, comm_p2p
 from repro.faults.fuzz import (
     FUZZ_TARGETS,
     FUZZ_WATCHDOG,
-    _alloc_rbuf,
-    _butterfly_prog,
-    _contents,
     _diff,
-    _evenodd_prog,
-    _halo2d_prog,
-    _ring_prog,
+    _pattern_main,
 )
 from repro.faults.plan import FaultPlan, RankCrash, RankStall
-from repro.netmodel import gemini_model
-from repro.patterns.catalog import power_of_two
+from repro.patterns.catalog import PatternSpec, get_pattern
 from repro.recovery import (
     POLICIES,
     RecoveryConfig,
@@ -57,44 +48,12 @@ from repro.recovery import (
 from repro.sim import Engine
 from repro.util.rng import stream_rng
 
+#: The registry patterns the soak recovers. Their texts compute every
+#: partner from ``rank``/``nprocs``, which is what makes shrink's
+#: re-map a plain re-run at the survivor count.
+SOAK_NAMES = ("ring", "evenodd", "halo2d", "butterfly", "fanout")
 
-def _fan_prog(env, target: str):
-    """Root scatters a distinct block to every other rank (fan-out)."""
-    out = np.arange(4.0) * (env.rank + 1)
-    blocks = [_alloc_rbuf(env, target, 4) for _ in range(env.size)]
-    with comm_parameters(env):
-        for peer in range(env.size):
-            with comm_p2p(env, sender=0, receiver=peer,
-                          sendwhen=env.rank == 0 and peer != 0,
-                          receivewhen=env.rank == peer and peer != 0,
-                          sbuf=out, rbuf=blocks[peer], target=target):
-                pass
-    return _contents(blocks[env.rank]) if env.rank != 0 else out.tolist()
-
-
-@dataclass(frozen=True)
-class ChaosCase:
-    """One pattern the soak can recover on any target at any size."""
-
-    name: str
-    prog: Callable
-    nprocs: int
-    #: World-size predicate shrink must respect (None = any size).
-    valid_world: Callable[[int], bool] | None = None
-
-
-#: The soak's pattern catalog. All programs compute every partner from
-#: ``env.rank``/``env.size``, which is what makes shrink's re-map a
-#: plain re-run at the survivor count.
-SOAK_CASES = (
-    ChaosCase("ring", _ring_prog, 5),
-    ChaosCase("evenodd", _evenodd_prog, 6),
-    ChaosCase("halo2d", _halo2d_prog, 6),
-    ChaosCase("butterfly", _butterfly_prog, 4, valid_world=power_of_two),
-    ChaosCase("fan", _fan_prog, 5),
-)
-
-SOAK_NAMES = tuple(c.name for c in SOAK_CASES)
+SOAK_CASES = tuple(get_pattern(name) for name in SOAK_NAMES)
 
 #: Retry policy the soak runs under; ``max_retries`` is the bound the
 #: retry-span assertion checks.
@@ -118,17 +77,7 @@ class ChaosFailure:
                 f"{self.policy!r}, seed={self.seed})")
 
 
-def _main_for(case: ChaosCase, target: str) -> Callable:
-    model = gemini_model()
-
-    def main(env):
-        mpi.init(env, model)
-        return case.prog(env, target)
-
-    return main
-
-
-def chaos_plan(case: ChaosCase, target: str, seed: int,
+def chaos_plan(case: PatternSpec, target: str, seed: int,
                makespan: float, nfail: int) -> FaultPlan:
     """The seed-deterministic crash+drop+stall plan for one triple.
 
@@ -160,23 +109,23 @@ def chaos_one(pattern: str, target: str, policy: str, seed: int,
     (pattern, target); pass a shared dict when sweeping seeds so each
     reference world is simulated once.
     """
-    case = next(c for c in SOAK_CASES if c.name == pattern)
+    case = SOAK_CASES[SOAK_NAMES.index(pattern)]
+    main = _pattern_main(pattern, target)
     if baselines is None:
         baselines = {}
 
     def baseline(world: int):
         if world not in baselines:
-            baselines[world] = Engine(world).run(
-                _main_for(case, target)).values
+            baselines[world] = Engine(world).run(main).values
         return baselines[world]
 
-    ref = Engine(case.nprocs).run(_main_for(case, target))
+    ref = Engine(case.nprocs).run(main)
     baselines.setdefault(case.nprocs, ref.values)
     plan = chaos_plan(case, target, seed, ref.makespan, nfail)
     config = RecoveryConfig(policy=policy, retry=SOAK_RETRY,
                             valid_world=case.valid_world)
     try:
-        res = run_with_recovery(_main_for(case, target), case.nprocs,
+        res = run_with_recovery(main, case.nprocs,
                                 faults=plan, config=config,
                                 watchdog=watchdog, profile=True)
     except RecoveryError as exc:

@@ -32,18 +32,14 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
-import numpy as np
-
-from repro import mpi, shmem
-from repro.core import comm_p2p, comm_parameters
 from repro.core import region as _region
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
 from repro.netmodel import gemini_model
-from repro.patterns.halo2d import HaloBuffers, grid_shape, neighbours
+from repro.patterns.catalog import get_pattern
 from repro.sim import Engine
 
 #: Every lowering target of the directive layer.
@@ -55,109 +51,6 @@ FUZZ_TARGETS = ("TARGET_COMM_MPI_2SIDE", "TARGET_COMM_MPI_1SIDE",
 #: of eating the CI job timeout.
 FUZZ_WATCHDOG = Watchdog(wall_timeout=60.0, stall_events=1_000_000)
 
-_SHMEM = "TARGET_COMM_SHMEM"
-_OPPOSITE = {"north": "south", "south": "north",
-             "west": "east", "east": "west"}
-
-
-def _alloc_rbuf(env, target: str, n: int):
-    """A receive buffer valid for ``target``.
-
-    SHMEM requires symmetric objects; ``sh.malloc`` is collective, so
-    every pattern below allocates the same shapes in the same order on
-    all ranks.
-    """
-    if target == _SHMEM:
-        return shmem.init(env).malloc(n, np.float64)
-    return np.zeros(n)
-
-
-def _contents(buf) -> list[float]:
-    """Final element values of an rbuf, SymArray or ndarray alike."""
-    data = buf.data if hasattr(buf, "data") else buf
-    return np.asarray(data, dtype=np.float64).reshape(-1).tolist()
-
-
-# -- pattern programs ------------------------------------------------------
-#
-# Target-parameterized variants of the repro.patterns programs: the
-# library versions hard-code the default target, while the fuzzer must
-# drive all three lowerings, so each program takes `target` and routes
-# its rbufs through _alloc_rbuf. Each returns the rank's final
-# user-visible data — the value the correctness comparison bites on.
-
-def _ring_prog(env, target: str):
-    prev = (env.rank - 1 + env.size) % env.size
-    nxt = (env.rank + 1) % env.size
-    out = np.arange(8.0) + 100.0 * env.rank
-    inb = _alloc_rbuf(env, target, 8)
-    with comm_p2p(env, sender=prev, receiver=nxt,
-                  sbuf=out, rbuf=inb, target=target):
-        pass
-    return _contents(inb)
-
-
-def _evenodd_prog(env, target: str):
-    out = np.arange(6.0) + 10.0 * env.rank
-    inb = _alloc_rbuf(env, target, 6)
-    with comm_p2p(env, sbuf=out, rbuf=inb,
-                  sender=env.rank - 1,
-                  receiver=min(env.rank + 1, env.size - 1),
-                  sendwhen=env.rank % 2 == 0 and env.rank + 1 < env.size,
-                  receivewhen=env.rank % 2 == 1,
-                  target=target):
-        pass
-    return _contents(inb)
-
-
-def _halo2d_prog(env, target: str):
-    ny, nx = 3, 4
-    py, px = grid_shape(env.size)
-    block = (np.arange(float(ny * nx)).reshape(ny, nx)
-             + 1000.0 * env.rank)
-    bufs = HaloBuffers(ny, nx)
-    if target == _SHMEM:
-        # Same shapes in the same order on every rank: malloc stays
-        # collective even though boundary ranks skip some transfers.
-        bufs.halo = {d: _alloc_rbuf(env, target, h.size)
-                     for d, h in bufs.halo.items()}
-    nbr = neighbours(env.rank, py, px)
-    edges = bufs.edges(block)
-    with comm_parameters(env):
-        for direction in ("north", "south", "west", "east"):
-            peer = nbr[direction]
-            with comm_p2p(env,
-                          sender=peer if peer is not None else env.rank,
-                          receiver=peer if peer is not None else env.rank,
-                          sendwhen=peer is not None,
-                          receivewhen=peer is not None,
-                          sbuf=edges[direction],
-                          rbuf=bufs.halo[direction],
-                          target=target):
-                pass
-    return [_contents(bufs.halo[d])
-            for d in ("north", "south", "west", "east")]
-
-
-def _butterfly_prog(env, target: str):
-    size, rank = env.size, env.rank
-    rounds = size.bit_length() - 1
-    data = np.zeros(size)
-    data[rank] = float(rank + 1)
-    owned_lo, owned_n = rank, 1
-    for k in range(rounds):
-        partner = rank ^ (1 << k)
-        send_block = np.ascontiguousarray(data[owned_lo:owned_lo + owned_n])
-        their_lo = owned_lo ^ (1 << k)
-        recv_block = _alloc_rbuf(env, target, owned_n)
-        with comm_p2p(env, sender=partner, receiver=partner,
-                      sbuf=send_block, rbuf=recv_block, target=target):
-            pass
-        data[their_lo:their_lo + owned_n] = _contents(recv_block)
-        owned_lo = min(owned_lo, their_lo)
-        owned_n *= 2
-    return data.tolist()
-
 
 def _tally_checks(tally: dict | None, stats) -> None:
     """Accumulate one run's sanitizer counters into ``tally``."""
@@ -167,19 +60,22 @@ def _tally_checks(tally: dict | None, stats) -> None:
         tally["runs"] = tally.get("runs", 0) + 1
 
 
-def _run_pattern(prog: Callable, nprocs: int, target: str,
-                 plan: FaultPlan, watchdog: Watchdog | None,
-                 sanitize: bool = False, tally: dict | None = None):
-    model = gemini_model()
-    eng = Engine(nprocs, faults=plan, watchdog=watchdog,
+@lru_cache(maxsize=None)
+def _pattern_main(name: str, target: str) -> Callable:
+    """One registry pattern's per-rank main on ``target``; the text is
+    parsed once per process, not once per run."""
+    return get_pattern(name).main(target)
+
+
+def _run_spec(name: str, target: str, plan: FaultPlan | None,
+              watchdog: Watchdog | None, sanitize: bool = False,
+              tally: dict | None = None):
+    """One registry pattern's text, replayed per rank through progsim
+    at the text's world size; returns the per-rank buffer payloads."""
+    eng = Engine(get_pattern(name).nprocs, faults=plan, watchdog=watchdog,
                  sanitize=sanitize)
-
-    def main(env):
-        mpi.init(env, model)  # fix the machine model for all targets
-        return prog(env, target)
-
     try:
-        return eng.run(main).values
+        return eng.run(_pattern_main(name, target)).values
     finally:
         _tally_checks(tally, eng.stats)
 
@@ -226,19 +122,11 @@ class FuzzCase:
         return self.run(target, None, watchdog, sanitize, tally)
 
 
+#: The registry patterns the fuzzer sweeps, then the application.
+PATTERN_NAMES = ("ring", "evenodd", "halo2d", "butterfly")
+
 CASES = (
-    FuzzCase("ring",
-             lambda t, p, w, s=False, y=None:
-             _run_pattern(_ring_prog, 5, t, p, w, s, y)),
-    FuzzCase("evenodd",
-             lambda t, p, w, s=False, y=None:
-             _run_pattern(_evenodd_prog, 6, t, p, w, s, y)),
-    FuzzCase("halo2d",
-             lambda t, p, w, s=False, y=None:
-             _run_pattern(_halo2d_prog, 6, t, p, w, s, y)),
-    FuzzCase("butterfly",
-             lambda t, p, w, s=False, y=None:
-             _run_pattern(_butterfly_prog, 4, t, p, w, s, y)),
+    *(FuzzCase(name, partial(_run_spec, name)) for name in PATTERN_NAMES),
     FuzzCase("wllsms", _run_wllsms),
 )
 
@@ -263,8 +151,9 @@ class FuzzFailure:
 def _diff(expected, got) -> str | None:
     """None when bit-identical, else a one-line description.
 
-    Both sides are plain nested lists of Python floats (every program
-    returns ``.tolist()`` data), so ``==`` is an exact bitwise check.
+    Both sides hold only Python floats in lists and dicts (per-rank
+    buffer payloads, or the application's result lists), so ``==`` is
+    an exact bitwise check.
     """
     if expected == got:
         return None
@@ -431,12 +320,9 @@ def weaken_pending_sync(name: str) -> Iterator[None]:
 
 # -- static twins ----------------------------------------------------------
 #
-# Pragma-source doubles of the runtime fuzz CASES: same pattern, same
-# world size, expressed in the directive IR so the static verifier can
-# unroll them. The twins are approximations of the runtime programs
-# (the cross-check only requires: dynamically caught => statically
-# flagged), but each preserves the communication structure that makes
-# the weakenings observable.
+# Each fuzz pattern's registry text at the same world size with the same
+# bindings, which the static verifier unrolls: the runtime and the
+# static side read one program.
 
 @dataclass(frozen=True)
 class StaticTwin:
@@ -448,65 +334,10 @@ class StaticTwin:
     extra_vars: dict[str, int] = field(default_factory=dict)
 
 
-_RING_TWIN = """
-double out[8];
-double inb[8];
-int rank, nprocs;
-#pragma comm_p2p sender((rank-1+nprocs)%nprocs) receiver((rank+1)%nprocs) sbuf(out) rbuf(inb)
-{
-}
-consume(inb);
-"""
-
-_EVENODD_TWIN = """
-double out[6];
-double inb[6];
-int rank, nprocs;
-#pragma comm_parameters sender(rank-1) receiver(rank+1) sendwhen(rank%2==0 && rank+1<nprocs) receivewhen(rank%2==1) sbuf(out) rbuf(inb)
-{
-#pragma comm_p2p
-{
-}
-}
-consume(inb);
-"""
-
-_HALO2D_TWIN = """
-double edge_n[4]; double halo_n[4];
-double edge_s[4]; double halo_s[4];
-double edge_w[3]; double halo_w[3];
-double edge_e[3]; double halo_e[3];
-int rank, nprocs, px;
-#pragma comm_parameters
-{
-#pragma comm_p2p sender(rank-px) receiver(rank-px) sendwhen(rank>=px) receivewhen(rank>=px) sbuf(edge_n) rbuf(halo_n)
-#pragma comm_p2p sender(rank+px) receiver(rank+px) sendwhen(rank+px<nprocs) receivewhen(rank+px<nprocs) sbuf(edge_s) rbuf(halo_s)
-#pragma comm_p2p sender(rank-1) receiver(rank-1) sendwhen(rank%px>0) receivewhen(rank%px>0) sbuf(edge_w) rbuf(halo_w)
-#pragma comm_p2p sender(rank+1) receiver(rank+1) sendwhen(rank%px<px-1) receivewhen(rank%px<px-1) sbuf(edge_e) rbuf(halo_e)
-}
-stencil(halo_n, halo_s, halo_w, halo_e);
-"""
-
-_BUTTERFLY_TWIN = """
-double blk0[1]; double got0[1];
-double blk1[2]; double got1[2];
-int rank, nprocs;
-#pragma comm_p2p sender(rank^1) receiver(rank^1) sbuf(blk0) rbuf(got0)
-{
-}
-merge_round0(got0);
-#pragma comm_p2p sender(rank^2) receiver(rank^2) sbuf(blk1) rbuf(got1)
-{
-}
-merge_round1(got1);
-"""
-
 STATIC_TWINS: dict[str, StaticTwin] = {
-    "ring": StaticTwin("ring", _RING_TWIN, nprocs=5),
-    "evenodd": StaticTwin("evenodd", _EVENODD_TWIN, nprocs=6),
-    "halo2d": StaticTwin("halo2d", _HALO2D_TWIN, nprocs=6,
-                         extra_vars={"px": grid_shape(6)[1]}),
-    "butterfly": StaticTwin("butterfly", _BUTTERFLY_TWIN, nprocs=4),
+    **{spec.name: StaticTwin(spec.name, spec.source, spec.nprocs,
+                             spec.bindings)
+       for spec in map(get_pattern, PATTERN_NAMES)},
     # wllsms quick mode moves the Listing-5 atom payload between the
     # window master and group members; the annotated listing *is* the
     # published static form of that transfer.

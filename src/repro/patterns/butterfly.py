@@ -20,6 +20,29 @@ from repro.sim.process import Env
 
 NAME = "butterfly"
 
+#: Two rounds (a 4-rank world) as annotated source: each round's region
+#: names the partner ``rank^k`` for its instance (Section III-A clause
+#: inheritance), guarded so a smaller world skips absent partners.
+#: Round 1 forwards the block received in round 0, as the algorithm
+#: does, so round 0's synchronization is observable in round 1's data
+#: (see :mod:`repro.patterns.catalog`).
+SOURCE = """\
+double blk0[1]; double got0[1];
+double blk1[1]; double got1[1]; double fwd[1];
+int rank, nprocs;
+blk0[0] = rank + 1;
+blk1[0] = rank + 1;
+#pragma comm_parameters sender(rank^1) receiver(rank^1) sendwhen((rank^1)<nprocs) receivewhen((rank^1)<nprocs)
+{
+#pragma comm_p2p sbuf(blk0) rbuf(got0)
+}
+#pragma comm_parameters sender(rank^2) receiver(rank^2) sendwhen((rank^2)<nprocs) receivewhen((rank^2)<nprocs)
+{
+#pragma comm_p2p sbuf(blk1, got0) rbuf(got1, fwd)
+}
+merge(got1, fwd);
+"""
+
 
 def _check_power_of_two(size: int) -> int:
     rounds = size.bit_length() - 1

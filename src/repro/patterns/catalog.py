@@ -1,10 +1,22 @@
-"""Pattern registry: name -> spec with both implementations."""
+"""Pattern registry: name -> spec with its pragma text and both
+library implementations.
+
+Each pattern's annotated source text (``SOURCE`` in its module) is its
+one definition outside the library DSL: the sync-plan fuzzer and the
+chaos soak replay it through the program simulator
+(:func:`repro.core.analysis.progsim.program_main`), ``repro-trace
+--pattern`` profiles it, the static verifier unrolls it as the fuzz
+pattern's twin, and ``repro-lint --catalog`` lints it. The registry
+entry stores the world size the text is written for and the values of
+its free clause names. Texts are parsed on demand, never at import.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.ir import ClauseExprs, Program
 from repro.patterns import (
     butterfly,
     evenodd,
@@ -23,18 +35,21 @@ def power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """One recurring pattern with its three faces."""
+    """One recurring pattern: its pragma text and two library forms."""
 
     name: str
-    #: Static clause sets for the dataflow analysis (list: some
-    #: patterns are multi-directive).
-    clauses: Callable[[], Any]
+    #: The pattern as pragma-annotated source.
+    source: str
+    #: World size the text is written for.
+    nprocs: int
     #: Directive-based runtime implementation.
     run_directive: Callable[..., None]
     #: Hand-written MPI implementation.
     run_mpi: Callable[..., None]
     #: The classification the dataflow analysis should produce.
     expected_class: str
+    #: Values of the text's free clause names (beyond rank/nprocs).
+    bindings: dict[str, int] = field(default_factory=dict)
     #: World sizes the pattern is defined for (``None`` = any). The
     #: recovery runtime's *shrink* policy consults this when re-mapping
     #: a pattern over the survivor set: partner functions re-evaluate
@@ -42,31 +57,49 @@ class PatternSpec:
     #: (e.g. butterfly needs a power of two).
     valid_world: Callable[[int], bool] | None = None
 
+    def program(self) -> Program:
+        """The parsed text (a fresh parse per call)."""
+        from repro.core.pragma import parse_program
+        return parse_program(self.source)
+
+    def main(self, target: str) -> Callable[[Any], Any]:
+        """The per-rank entry point replaying the text on ``target`` at
+        the running world size; each rank returns its buffer payloads
+        (:func:`repro.core.analysis.progsim.program_main`)."""
+        from repro.core.analysis.progsim import program_main
+        return program_main(self.program(), target=target,
+                            extra_vars=self.bindings, capture=True)
+
+    def clauses(self) -> ClauseExprs:
+        """The effective clauses of the text's first ``comm_p2p``."""
+        return self.program().p2p_clauses()[0][2]
+
 
 PATTERNS: dict[str, PatternSpec] = {
     ring.NAME: PatternSpec(
-        ring.NAME, ring.clauses, ring.run_directive, ring.run_mpi,
+        ring.NAME, ring.SOURCE, 5, ring.run_directive, ring.run_mpi,
         expected_class="ring"),
     evenodd.NAME: PatternSpec(
-        evenodd.NAME, evenodd.clauses, evenodd.run_directive,
+        evenodd.NAME, evenodd.SOURCE, 6, evenodd.run_directive,
         evenodd.run_mpi, expected_class="pairwise"),
     halo.NAME: PatternSpec(
-        halo.NAME, lambda: halo.clauses()[0], halo.run_directive,
-        halo.run_mpi, expected_class="shift"),
+        halo.NAME, halo.SOURCE, 4, halo.run_directive, halo.run_mpi,
+        expected_class="shift"),
     pipeline.NAME: PatternSpec(
-        pipeline.NAME, pipeline.clauses, pipeline.run_directive,
-        pipeline.run_mpi, expected_class="shift"),
+        pipeline.NAME, pipeline.SOURCE, 4, pipeline.run_directive,
+        pipeline.run_mpi, expected_class="shift", bindings={"n": 4}),
     fan.NAME_OUT: PatternSpec(
-        fan.NAME_OUT, fan.fanout_clauses, fan.run_fanout_directive,
+        fan.NAME_OUT, fan.FANOUT_SOURCE, 5, fan.run_fanout_directive,
         fan.run_fanout_mpi, expected_class="fan-out"),
     fan.NAME_IN: PatternSpec(
-        fan.NAME_IN, fan.fanout_clauses, fan.run_fanin_directive,
+        fan.NAME_IN, fan.FANIN_SOURCE, 5, fan.run_fanin_directive,
         fan.run_fanin_mpi, expected_class="fan-in"),
     halo2d.NAME: PatternSpec(
-        halo2d.NAME, lambda: halo.clauses()[0], halo2d.run_directive,
-        halo2d.run_mpi, expected_class="shift"),
+        halo2d.NAME, halo2d.SOURCE, 6, halo2d.run_directive,
+        halo2d.run_mpi, expected_class="shift",
+        bindings={"px": halo2d.grid_shape(6)[1]}),
     butterfly.NAME: PatternSpec(
-        butterfly.NAME, lambda: None, butterfly.run_directive,
+        butterfly.NAME, butterfly.SOURCE, 4, butterfly.run_directive,
         butterfly.run_mpi, expected_class="pairwise",
         valid_world=power_of_two),
 }
@@ -76,9 +109,7 @@ def valid_world_of(name: str) -> Callable[[int], bool] | None:
     """The world-size predicate one pattern imposes on shrink, if any.
 
     Suitable directly as :attr:`repro.recovery.RecoveryConfig.
-    valid_world`; unknown names (patterns outside the registry, e.g.
-    the fuzzer's target-parameterized variants) fall back to ``None``
-    unless they share a registered pattern's name.
+    valid_world`; names outside the registry fall back to ``None``.
     """
     spec = PATTERNS.get(name)
     return spec.valid_world if spec is not None else None

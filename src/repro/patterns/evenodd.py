@@ -9,19 +9,25 @@ import numpy as np
 
 from repro import mpi
 from repro.core import comm_p2p
-from repro.core.ir import ClauseExprs
 from repro.sim.process import Env
 
 NAME = "evenodd"
 
-
-def clauses() -> ClauseExprs:
-    """Static clause set for the dataflow analysis."""
-    return ClauseExprs(
-        exprs={"sender": "rank-1", "receiver": "rank+1",
-               "sendwhen": "rank%2==0", "receivewhen": "rank%2==1"},
-        sbuf=["buf1"], rbuf=["buf2"],
-    )
+#: Listing 2 as annotated source: the region supplies every clause to
+#: its one instance (see :mod:`repro.patterns.catalog`).
+SOURCE = """\
+double out[6];
+double inb[6];
+int rank, nprocs;
+out[0] = rank + 1;
+#pragma comm_parameters sender(rank-1) receiver(rank+1) sendwhen(rank%2==0 && rank+1<nprocs) receivewhen(rank%2==1) sbuf(out) rbuf(inb)
+{
+#pragma comm_p2p
+{
+}
+}
+consume(inb);
+"""
 
 
 def run_directive(env: Env, out: np.ndarray, inb: np.ndarray) -> None:

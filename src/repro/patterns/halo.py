@@ -12,25 +12,27 @@ import numpy as np
 
 from repro import mpi
 from repro.core import comm_p2p, comm_parameters
-from repro.core.ir import ClauseExprs
 from repro.sim.process import Env
 
 NAME = "halo1d"
 
-
-def clauses() -> list[ClauseExprs]:
-    """The two directives' static clause sets (left-going, right-going)."""
-    right = ClauseExprs(
-        exprs={"sender": "rank-1", "receiver": "rank+1",
-               "sendwhen": "rank<nprocs-1", "receivewhen": "rank>0"},
-        sbuf=["right_edge"], rbuf=["left_halo"],
-    )
-    left = ClauseExprs(
-        exprs={"sender": "rank+1", "receiver": "rank-1",
-               "sendwhen": "rank>0", "receivewhen": "rank<nprocs-1"},
-        sbuf=["left_edge"], rbuf=["right_halo"],
-    )
-    return [right, left]
+#: The right-going and left-going shifts in one region, as annotated
+#: source (see :mod:`repro.patterns.catalog`).
+SOURCE = """\
+double right_edge[8];
+double left_halo[8];
+double left_edge[8];
+double right_halo[8];
+int rank, nprocs;
+right_edge[0] = rank + 1;
+left_edge[0] = rank + 101;
+#pragma comm_parameters place_sync(END_PARAM_REGION)
+{
+#pragma comm_p2p sender(rank-1) receiver(rank+1) sendwhen(rank<nprocs-1) receivewhen(rank>0) sbuf(right_edge) rbuf(left_halo)
+#pragma comm_p2p sender(rank+1) receiver(rank-1) sendwhen(rank>0) receivewhen(rank<nprocs-1) sbuf(left_edge) rbuf(right_halo)
+}
+stencil(left_halo, right_halo);
+"""
 
 
 def run_directive(env: Env, interior: np.ndarray,

@@ -18,6 +18,31 @@ from repro.sim.process import Env
 
 NAME = "halo2d"
 
+#: A 3x4 block's exchange on a ``py x px`` grid as annotated source: one
+#: shift per direction, each received into the opposite halo, all four
+#: in one region (see :mod:`repro.patterns.catalog`). ``px`` is bound by
+#: the registry entry; the guards keep every partner inside a world of
+#: any size, so a shrunk world still runs.
+SOURCE = """\
+double edge_n[4]; double halo_n[4];
+double edge_s[4]; double halo_s[4];
+double edge_w[3]; double halo_w[3];
+double edge_e[3]; double halo_e[3];
+int rank, nprocs, px;
+edge_n[0] = rank + 1;
+edge_s[0] = rank + 101;
+edge_w[0] = rank + 201;
+edge_e[0] = rank + 301;
+#pragma comm_parameters
+{
+#pragma comm_p2p sender(rank+px) receiver(rank-px) sendwhen(rank>=px) receivewhen(rank+px<nprocs) sbuf(edge_n) rbuf(halo_s)
+#pragma comm_p2p sender(rank-px) receiver(rank+px) sendwhen(rank+px<nprocs) receivewhen(rank>=px) sbuf(edge_s) rbuf(halo_n)
+#pragma comm_p2p sender(rank+1) receiver(rank-1) sendwhen(rank%px>0) receivewhen(rank%px<px-1 && rank+1<nprocs) sbuf(edge_w) rbuf(halo_e)
+#pragma comm_p2p sender(rank-1) receiver(rank+1) sendwhen(rank%px<px-1 && rank+1<nprocs) receivewhen(rank%px>0) sbuf(edge_e) rbuf(halo_w)
+}
+stencil(halo_n, halo_s, halo_w, halo_e);
+"""
+
 
 def grid_shape(nprocs: int) -> tuple[int, int]:
     """The most-square ``(py, px)`` factorization of ``nprocs``."""

@@ -11,20 +11,34 @@ import numpy as np
 
 from repro import mpi
 from repro.core import comm_p2p, comm_parameters
-from repro.core.ir import ClauseExprs
 from repro.sim.process import Env
 
 NAME = "pipeline"
 
-
-def clauses() -> ClauseExprs:
-    """Static clause set for the dataflow analysis."""
-    return ClauseExprs(
-        exprs={"sender": "rank-1", "receiver": "rank+1",
-               "sendwhen": "rank<nprocs-1", "receivewhen": "rank>0",
-               "count": "1", "max_comm_iter": "n"},
-        sbuf=["&buf1[p]"], rbuf=["&buf2[p]"],
-    )
+#: Listing 3 as annotated source (see :mod:`repro.patterns.catalog`).
+#: The directive IR has no loops, so the text unrolls the element loop
+#: for ``n = 4``, one single-element buffer pair per iteration: static
+#: buffer independence is decided by name, so ``&out[p]`` slices of one
+#: array would read as dependent and split the region's one sync.
+SOURCE = """\
+double out0[1]; double in0[1];
+double out1[1]; double in1[1];
+double out2[1]; double in2[1];
+double out3[1]; double in3[1];
+int rank, nprocs;
+out0[0] = rank + 1;
+out1[0] = rank + 101;
+out2[0] = rank + 201;
+out3[0] = rank + 301;
+#pragma comm_parameters sender(rank-1) receiver(rank+1) sendwhen(rank<nprocs-1) receivewhen(rank>0) count(1) max_comm_iter(n) place_sync(END_PARAM_REGION)
+{
+#pragma comm_p2p sbuf(out0) rbuf(in0)
+#pragma comm_p2p sbuf(out1) rbuf(in1)
+#pragma comm_p2p sbuf(out2) rbuf(in2)
+#pragma comm_p2p sbuf(out3) rbuf(in3)
+}
+consume(in0, in1, in2, in3);
+"""
 
 
 def run_directive(env: Env, out: np.ndarray, inb: np.ndarray) -> None:

@@ -10,19 +10,21 @@ import numpy as np
 
 from repro import mpi
 from repro.core import comm_p2p
-from repro.core.ir import ClauseExprs
 from repro.sim.process import Env
 
 NAME = "ring"
 
-
-def clauses() -> ClauseExprs:
-    """Static clause set for the dataflow analysis."""
-    return ClauseExprs(
-        exprs={"sender": "(rank-1+nprocs)%nprocs",
-               "receiver": "(rank+1)%nprocs"},
-        sbuf=["buf1"], rbuf=["buf2"],
-    )
+#: Listing 1 as annotated source (see :mod:`repro.patterns.catalog`).
+SOURCE = """\
+double out[8];
+double inb[8];
+int rank, nprocs;
+out[0] = rank + 1;
+#pragma comm_p2p sender((rank-1+nprocs)%nprocs) receiver((rank+1)%nprocs) sbuf(out) rbuf(inb)
+{
+}
+consume(inb);
+"""
 
 
 def run_directive(env: Env, out: np.ndarray, inb: np.ndarray) -> None:

@@ -7,8 +7,9 @@ Three ways to obtain a profiled run:
 
       repro-trace examples/pragmas/slow/early_sync.c --critical-path
 
-* a **communication pattern** from the catalog, via the fuzzer's
-  target-parameterized pattern programs::
+* a **communication pattern** from the catalog: its pragma text,
+  replayed exactly like a source file at the text's world size and
+  bindings::
 
       repro-trace --pattern halo2d --target shmem --metrics
 
@@ -32,8 +33,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
+from repro.patterns.catalog import PATTERNS
 from repro.profiling.chrome import export_chrome
 from repro.profiling.critpath import critical_path
 from repro.profiling.metrics import aggregate
@@ -43,14 +45,6 @@ _TARGETS = {
     "mpi2s": "TARGET_COMM_MPI_2SIDE",
     "mpi1s": "TARGET_COMM_MPI_1SIDE",
     "shmem": "TARGET_COMM_SHMEM",
-}
-
-#: Pattern name -> (program factory module attr, default nprocs).
-_PATTERNS = {
-    "ring": ("_ring_prog", 5),
-    "evenodd": ("_evenodd_prog", 6),
-    "halo2d": ("_halo2d_prog", 6),
-    "butterfly": ("_butterfly_prog", 4),
 }
 
 
@@ -67,47 +61,25 @@ def _parse_vars(pairs: list[str]) -> dict[str, int]:
     return out
 
 
-def _profile_source(path: str, nprocs: int | None, target: str,
-                    extra_vars: dict[str, int]) -> Profile:
-    from repro.core.pragma import parse_program
+def _profile_program(program: Any, nprocs: int, target: str,
+                     extra_vars: dict[str, int]) -> Profile:
     from repro.core.analysis.progsim import simulate_program
 
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            source = f.read()
-    except OSError as exc:
-        raise SystemExit(f"repro-trace: cannot read {path}: {exc}")
-    program = parse_program(source)
-    outcome = simulate_program(program, nprocs=nprocs or 8,
+    outcome = simulate_program(program, nprocs=nprocs,
                                target=_TARGETS[target],
                                extra_vars=extra_vars, profile=True)
     assert outcome.profile is not None
     return outcome.profile
 
 
-def _profile_pattern(name: str, nprocs: int | None,
-                     target: str) -> Profile:
-    import importlib
+def _read_source(path: str) -> Any:
+    from repro.core.pragma import parse_program
 
-    from repro import mpi
-    from repro.netmodel import gemini_model
-    from repro.sim import Engine
-    from repro.sim.process import Env
-
-    # repro.faults re-exports the fuzz *function*; fetch the module.
-    fuzz = importlib.import_module("repro.faults.fuzz")
-    attr, default_nprocs = _PATTERNS[name]
-    prog: Callable[[Env, str], Any] = getattr(fuzz, attr)
-    model = gemini_model()
-    engine = Engine(nprocs or default_nprocs, profile=True)
-
-    def main(env: Env) -> Any:
-        mpi.init(env, model)
-        return prog(env, _TARGETS[target])
-
-    result = engine.run(main)
-    assert result.profile is not None
-    return result.profile
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse_program(f.read())
+    except OSError as exc:
+        raise SystemExit(f"repro-trace: cannot read {path}: {exc}")
 
 
 def _profile_app(nprocs: int | None, target: str) -> Profile:
@@ -133,7 +105,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "critical path, Chrome trace export.")
     parser.add_argument("source", nargs="?", default=None,
                         help="annotated pragma source file to replay")
-    parser.add_argument("--pattern", choices=sorted(_PATTERNS),
+    parser.add_argument("--pattern", choices=sorted(PATTERNS),
                         help="profile a catalog communication pattern")
     parser.add_argument("--app", choices=["wllsms"],
                         help="profile an application (quick config)")
@@ -163,13 +135,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.nprocs is not None and args.nprocs < 1:
         parser.error("--nprocs must be positive")
 
+    extra_vars = _parse_vars(args.var)
     if args.pattern is not None:
-        profile = _profile_pattern(args.pattern, args.nprocs, args.target)
+        spec = PATTERNS[args.pattern]
+        profile = _profile_program(spec.program(),
+                                   args.nprocs or spec.nprocs, args.target,
+                                   {**spec.bindings, **extra_vars})
     elif args.app is not None:
         profile = _profile_app(args.nprocs, args.target)
     else:
-        profile = _profile_source(args.source, args.nprocs, args.target,
-                                  _parse_vars(args.var))
+        profile = _profile_program(_read_source(args.source),
+                                   args.nprocs or 8, args.target,
+                                   extra_vars)
 
     did_something = False
     if args.export_chrome is not None:

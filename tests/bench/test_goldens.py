@@ -30,14 +30,7 @@ import pytest
 from repro import mpi
 from repro.core import comm_p2p
 from repro.core.analysis.fix import FixResult, fix_source
-from repro.core.analysis.independence import base_identifier
-from repro.core.ir import BufferDecl, P2PNode, Program
-from repro.core.pragma import parse_program
-from repro.core.pragma.__main__ import _CATALOG_VARS
-from repro.dtypes.primitives import DOUBLE
-from repro.errors import ReproError
 from repro.faults import FaultPlan, RankCrash, Watchdog
-from repro.faults.fuzz import _ring_prog
 from repro.netmodel import gemini_model
 from repro.patterns.catalog import PATTERNS
 from repro.recovery import (
@@ -162,23 +155,8 @@ def _advisor_examples() -> list[dict]:
 def _advisor_catalog() -> list[dict]:
     out = []
     for name, spec in sorted(PATTERNS.items()):
-        clauses = spec.clauses()
-        if clauses is None:
-            continue
-        program = Program(nodes=[P2PNode(clauses=clauses, line=1)])
-        for expr in (*clauses.sbuf, *clauses.rbuf):
-            base = base_identifier(expr)
-            program.decls.setdefault(
-                base, BufferDecl(base, DOUBLE, length=1024))
-        decls = "\n".join(f"double {base}[1024];"
-                          for base in sorted(program.decls))
-        source = f"{decls}\n\n{program.to_source()}"
-        try:
-            parse_program(source)
-        except ReproError:
-            continue  # no pragma source form (parameters-only clause)
-        result = fix_source(source, nprocs=ADVISOR_NPROCS,
-                            extra_vars=dict(_CATALOG_VARS))
+        result = fix_source(spec.source, nprocs=spec.nprocs,
+                            extra_vars=spec.bindings)
         out.append({
             "name": name,
             "changed": result.changed,
@@ -226,9 +204,7 @@ RECOVERY_ITERS = 6
 _WD = Watchdog(wall_timeout=120.0, stall_events=5_000_000)
 
 
-def _recovery_ring(env):
-    mpi.init(env, _MODEL)
-    return _ring_prog(env, "TARGET_COMM_MPI_2SIDE")
+_recovery_ring = PATTERNS["ring"].main("TARGET_COMM_MPI_2SIDE")
 
 
 def _checkpointed_ring(env):

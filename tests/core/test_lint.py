@@ -1,6 +1,7 @@
 """Whole-program directive linting."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +10,13 @@ from repro.core.analysis import (
     render_json,
     render_sarif,
 )
+from repro.core.analysis.progsim import simulate_program
+from repro.core.clauses import Target
 from repro.core.pragma import parse_program
-from repro.errors import VerificationError
+from repro.errors import ClauseError, SimProcessError, VerificationError
+
+MAX_COMM_ITER_OVERFLOW = (Path(__file__).resolve().parents[2] / "examples"
+                          / "pragmas" / "bad" / "max_comm_iter_overflow.c")
 
 CLEAN = """
 double a[16]; double b[16]; double c[16]; double d[16];
@@ -140,6 +146,29 @@ class TestDiagnosticCodes:
         render_a = lint_program(parse_program(CYCLE), nprocs=4).render()
         render_b = lint_program(parse_program(CYCLE), nprocs=4).render()
         assert render_a == render_b
+
+    @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.name)
+    def test_max_comm_iter_overflow_is_ci033_and_raises(self, target):
+        """Two instances in a region declaring max_comm_iter(1): lint
+        reports CI033 on each target, and the runtime raises on the
+        same source."""
+        source = MAX_COMM_ITER_OVERFLOW.read_text(encoding="utf-8")
+        report = lint_program(parse_program(source), nprocs=4,
+                              targets=[target])
+        assert [d.code for d in report.errors] == ["CI033"]
+        with pytest.raises(SimProcessError) as info:
+            simulate_program(parse_program(source), 4, target=target)
+        assert isinstance(info.value.__cause__, ClauseError)
+        assert "max_comm_iter(1)" in str(info.value.__cause__)
+
+    @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.name)
+    def test_max_comm_iter_at_the_instance_count_is_clean(self, target):
+        source = MAX_COMM_ITER_OVERFLOW.read_text(encoding="utf-8")
+        source = source.replace("max_comm_iter(1)", "max_comm_iter(2)")
+        report = lint_program(parse_program(source), nprocs=4,
+                              targets=[target])
+        assert report.errors == []
+        simulate_program(parse_program(source), 4, target=target)
 
     def test_require_clean_raises_with_listing(self):
         report = lint_program(parse_program(CYCLE), nprocs=4)

@@ -9,14 +9,12 @@ guaranteeing sync) must compose with both.
 
 import pytest
 
-from repro import mpi
 from repro.faults import FaultPlan, Watchdog
-from repro.faults.fuzz import FUZZ_TARGETS, _halo2d_prog, _ring_prog
-from repro.netmodel import gemini_model
+from repro.faults.fuzz import FUZZ_TARGETS
+from repro.patterns import get_pattern
 from repro.recovery import RecoveryConfig, RetryPolicy, run_with_recovery
 from repro.sim import Engine
 
-_MODEL = gemini_model()
 _WD = Watchdog(wall_timeout=60.0, stall_events=1_000_000)
 
 #: Aggressive loss: most messages drop at least once.
@@ -24,38 +22,36 @@ _DROPPY = dict(seed=11, drop_prob=0.6, max_retransmits=5,
                deferred_delivery=True)
 
 
-def _main(prog, target):
-    def main(env):
-        mpi.init(env, _MODEL)
-        return prog(env, target)
-    return main
+def _main(name, target):
+    """The registry pattern's text as a per-rank main on ``target``."""
+    return get_pattern(name).main(target)
 
 
 @pytest.mark.parametrize("target", FUZZ_TARGETS)
 class TestLegacyRetransmit:
     def test_ring_bit_exact_under_heavy_drop(self, target):
-        base = Engine(5).run(_main(_ring_prog, target)).values
+        base = Engine(5).run(_main("ring", target)).values
         eng = Engine(5, faults=FaultPlan(**_DROPPY), watchdog=_WD)
-        res = eng.run(_main(_ring_prog, target))
+        res = eng.run(_main("ring", target))
         assert res.values == base
         assert eng.stats.faults["drop"] > 0
         # without a recovery context the retries counter stays legacy-off
         assert eng.stats.retries == 0
 
     def test_halo2d_bit_exact_under_heavy_drop(self, target):
-        base = Engine(6).run(_main(_halo2d_prog, target)).values
+        base = Engine(6).run(_main("halo2d", target)).values
         eng = Engine(6, faults=FaultPlan(**_DROPPY), watchdog=_WD)
-        res = eng.run(_main(_halo2d_prog, target))
+        res = eng.run(_main("halo2d", target))
         assert res.values == base
 
 
 @pytest.mark.parametrize("target", FUZZ_TARGETS)
 class TestRetryPolicyTransport:
     def test_ring_retries_are_counted_and_bounded(self, target):
-        base = Engine(5).run(_main(_ring_prog, target)).values
+        base = Engine(5).run(_main("ring", target)).values
         policy = RetryPolicy(max_retries=6, backoff=2.0)
         cfg = RecoveryConfig(retry=policy)
-        res = run_with_recovery(_main(_ring_prog, target), 5,
+        res = run_with_recovery(_main("ring", target), 5,
                                 faults=FaultPlan(**_DROPPY), config=cfg,
                                 watchdog=_WD, profile=True)
         assert res.values == base
@@ -68,7 +64,7 @@ class TestRetryPolicyTransport:
 
     def test_retry_spans_name_the_transport(self, target):
         cfg = RecoveryConfig(retry=RetryPolicy(max_retries=6))
-        res = run_with_recovery(_main(_ring_prog, target), 5,
+        res = run_with_recovery(_main("ring", target), 5,
                                 faults=FaultPlan(**_DROPPY), config=cfg,
                                 watchdog=_WD, profile=True)
         kinds = {s.attrs["transport"] for s in res.profile.of_kind("retry")}
@@ -83,10 +79,10 @@ class TestRetryPolicyTransport:
             max_retries=6, backoff=1.0, jitter_frac=0.0))
         harsh = RecoveryConfig(retry=RetryPolicy(
             max_retries=6, backoff=4.0, jitter_frac=0.0))
-        r_gentle = run_with_recovery(_main(_ring_prog, target), 5,
+        r_gentle = run_with_recovery(_main("ring", target), 5,
                                      faults=FaultPlan(**_DROPPY),
                                      config=gentle, watchdog=_WD)
-        r_harsh = run_with_recovery(_main(_ring_prog, target), 5,
+        r_harsh = run_with_recovery(_main("ring", target), 5,
                                     faults=FaultPlan(**_DROPPY),
                                     config=harsh, watchdog=_WD)
         assert r_gentle.values == r_harsh.values

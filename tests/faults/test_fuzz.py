@@ -67,6 +67,12 @@ class TestWeakenedSyncIsCaught:
         assert "expected" in failure.detail and "got" in failure.detail
 
 
+#: The (pattern, target, weakening) cells the seed-0 fuzz run does not
+#: catch. Every other cell of the matrix must stay caught, and must
+#: stay statically refuted; a cell entering or leaving this set fails
+#: the cross-check. All 45 cells were caught when the matrix was pinned.
+DYNAMIC_MISSES: frozenset[tuple[str, str, str]] = frozenset()
+
 #: Codes that count as "statically refuted" for the cross-check.
 _REFUTING = DEADLOCK_CODES | STALE_READ_CODES
 
@@ -114,9 +120,12 @@ class TestStaticDynamicCrossCheck:
             failure = fuzz_one(pattern, target, seed=0,
                                watchdog=_XCHECK_WATCHDOG,
                                baseline=baseline)
+        assert (failure is None) == (
+            (pattern, target, weakening) in DYNAMIC_MISSES), (
+            f"caught matrix changed at {pattern}/{target}/{weakening}: "
+            f"{failure}")
         if failure is None:
-            pytest.skip("dynamic fuzzer did not catch this weakening; "
-                        "cross-check is vacuous")
+            return
         program, nprocs, extra_vars = static_twin_program(pattern)
         report = verify_program(program, nprocs=nprocs, target=target,
                                 extra_vars=extra_vars,

@@ -172,7 +172,8 @@ class TestCatalogAnalysis:
         assert classify_pattern(g) == expected
 
     def test_fan_classification_with_vars(self):
-        g = comm_graph(fan.fanout_clauses(), nprocs=6,
-                       extra_vars={"root": 0, "peer": 3})
-        # A single (root, peer) instance: one edge.
-        assert g.edges == [(0, 3)]
+        spec = get_pattern("fanout")
+        g = comm_graph(spec.clauses(), nprocs=spec.nprocs,
+                       extra_vars=spec.bindings)
+        # The first (root, peer) instance: one edge.
+        assert g.edges == [(0, 1)]

@@ -1,40 +1,24 @@
 """Critical-path invariants across patterns x targets, and the
 advisor cross-check the profiler exists to provide."""
 
-import importlib
-
 import pytest
 
-from repro import mpi
 from repro.core.analysis.progsim import simulate_program
 from repro.core.pragma import parse_program
-from repro.netmodel import gemini_model
+from repro.patterns import get_pattern
 from repro.profiling import aggregate, critical_path
-from repro.sim import Engine
-
-fuzz = importlib.import_module("repro.faults.fuzz")
 
 TARGETS = ("TARGET_COMM_MPI_2SIDE", "TARGET_COMM_MPI_1SIDE",
            "TARGET_COMM_SHMEM")
-PATTERNS = {
-    "ring": (fuzz._ring_prog, 5),
-    "halo2d": (fuzz._halo2d_prog, 6),
-    "evenodd": (fuzz._evenodd_prog, 6),
-}
+PATTERNS = ("ring", "halo2d", "evenodd")
 
 
 def _profile_pattern(name, target):
-    prog, nprocs = PATTERNS[name]
-    model = gemini_model()
-    eng = Engine(nprocs, profile=True)
-
-    def main(env):
-        mpi.init(env, model)
-        return prog(env, target)
-
-    res = eng.run(main)
-    assert res.profile is not None
-    return res.profile
+    spec = get_pattern(name)
+    outcome = simulate_program(spec.program(), spec.nprocs, target=target,
+                               extra_vars=spec.bindings, profile=True)
+    assert outcome.profile is not None
+    return outcome.profile
 
 
 class TestCatalogInvariants:

@@ -8,9 +8,9 @@ from repro import mpi
 from repro.core import comm_p2p
 from repro.errors import RankFailedError
 from repro.faults import FaultPlan, RankCrash, Watchdog
-from repro.faults.fuzz import FUZZ_TARGETS, _ring_prog
+from repro.faults.fuzz import FUZZ_TARGETS
 from repro.netmodel import gemini_model
-from repro.patterns.catalog import power_of_two, valid_world_of
+from repro.patterns.catalog import get_pattern, power_of_two, valid_world_of
 from repro.profiling.chrome import chrome_trace
 from repro.recovery import (
     RESPAWN,
@@ -28,10 +28,7 @@ _WD = Watchdog(wall_timeout=60.0, stall_events=1_000_000)
 
 
 def _ring_main(target):
-    def main(env):
-        mpi.init(env, _MODEL)
-        return _ring_prog(env, target)
-    return main
+    return get_pattern("ring").main(target)
 
 
 ITERS = 5
@@ -86,12 +83,7 @@ class TestPolicies:
     def test_shrink_respects_pattern_validity(self):
         """Butterfly's power-of-two constraint (from the catalog) makes
         shrink fall 4 -> 2, not 4 -> 3."""
-        from repro.faults.fuzz import _butterfly_prog
-
-        def main(env):
-            mpi.init(env, _MODEL)
-            return _butterfly_prog(env, "TARGET_COMM_MPI_2SIDE")
-
+        main = get_pattern("butterfly").main("TARGET_COMM_MPI_2SIDE")
         assert valid_world_of("butterfly") is power_of_two
         plan = FaultPlan(seed=1, crashes=(RankCrash(rank=1, at=0.0),))
         cfg = RecoveryConfig(policy=SHRINK, valid_world=power_of_two)
