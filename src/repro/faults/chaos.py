@@ -202,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="seeds per combination (default 50)")
     parser.add_argument("--nfail", type=int, default=1,
                         help="ranks crashed per run (default 1)")
-    parser.add_argument("--json", metavar="PATH",
+    parser.add_argument("--stats-out", metavar="PATH",
                         help="write the recovery-stats artifact here")
     args = parser.parse_args(argv)
 
@@ -211,13 +211,13 @@ def main(argv: list[str] | None = None) -> int:
                           range(args.seeds), nfail=args.nfail,
                           progress=lambda line: print(line, flush=True),
                           stats=stats)
-    if args.json:
+    if args.stats_out:
         artifact = {
             "seeds": args.seeds, "nfail": args.nfail,
             "combinations": stats,
             "failures": [vars(f) for f in failures],
         }
-        with open(args.json, "w", encoding="utf-8") as f:
+        with open(args.stats_out, "w", encoding="utf-8") as f:
             json.dump(artifact, f, indent=2, sort_keys=True)
             f.write("\n")
     for failure in failures:

@@ -2,29 +2,20 @@
 
 The command drives the whole :mod:`repro.gen` pipeline::
 
-    repro-gen --seeds 1000 --diff --stats diffgen.json
+    repro-gen --seeds 1000 --diff --jobs 2 --stats-out diffgen.json
     repro-gen --seed 44 --mode racy --emit --out /tmp/corpus
     repro-gen --seeds 200 --diff --weaken-oracle ignore-races \
               --expect-disagreements --minimize
 
-The differential sweep shards and memoizes through the same service
-layer as ``repro-lint`` (:mod:`repro.lintserve`; docs/LINTSERVE.md)::
+``--jobs N`` fans the oracle checks over the worker pool
+``repro-lint`` uses (:func:`repro.lintserve.pool_map`); the pool
+preserves order, so the verdicts and the stats artifact equal the
+inline run's.
 
-    repro-gen --seeds 1000 --shard 2/4 --diff --jobs 2 \
-              --cache-dir .repro-cache --stats shard2.json
-    repro-gen --merge-stats diffgen.json --stats-in shard*.json
-
-``--shard I/N`` stripes the seed range (seeds with ``seed % N == I``),
-``--jobs`` fans oracle checks over a worker pool, ``--cache-dir``
-memoizes per-program oracle results keyed by content hash + the
-analysis-version salt, and ``--merge-stats`` combines per-shard stats
-artifacts into one, verifying shard coverage and asserting zero
-unexplained disagreements across all shards.
-
-Exit status: 0 on success; 1 when the differential run (or the merged
-stats) found an unexplained disagreement (or, under
-``--expect-disagreements``, when it found *none* — the CI proof that
-an injected analyzer weakening is caught); 2 on usage errors.
+Exit status: 0 on success; 1 when the differential run found an
+unexplained disagreement (or, under ``--expect-disagreements``, when
+it found *none* — the CI proof that an injected analyzer weakening is
+caught); 2 on usage errors.
 
 Every sampling cap is logged: nothing is silently truncated.
 """
@@ -64,7 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-gen",
         description="Generate random directive programs and "
-                    "differentially test the toolchain on them.")
+                    "differentially test the toolchain on them.",
+        # No prefix matching, so ``--stats`` is an error, not an
+        # abbreviation of ``--stats-out``.
+        allow_abbrev=False)
     sel = parser.add_argument_group("program selection")
     sel.add_argument("--seeds", type=int, default=None, metavar="N",
                      help="generate seeds 0..N-1")
@@ -95,25 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--expect-disagreements", action="store_true",
                      help="invert the exit status: fail when the run "
                           "finds NO disagreement")
-    svc = parser.add_argument_group(
-        "sharded service (repro.lintserve; docs/LINTSERVE.md)")
-    svc.add_argument("--jobs", type=int, default=None, metavar="N",
+    run.add_argument("--jobs", type=int, default=None, metavar="N",
                      help="fan oracle checks over N worker processes "
                           "(default: in-process)")
-    svc.add_argument("--shard", default=None, metavar="I/N",
-                     help="check only seeds with seed %% N == I "
-                          "(CI matrix striping; 0 <= I < N)")
-    svc.add_argument("--cache-dir", type=Path, default=None,
-                     metavar="DIR",
-                     help="memoize per-program oracle results on disk "
-                          "(content hash + analysis-version salt)")
-    svc.add_argument("--merge-stats", type=Path, default=None,
-                     metavar="OUT",
-                     help="merge per-shard --stats artifacts into OUT "
-                          "and exit (no generation)")
-    svc.add_argument("--stats-in", type=Path, nargs="+", default=None,
-                     metavar="FILE",
-                     help="shard stats artifacts for --merge-stats")
     out = parser.add_argument_group("output")
     out.add_argument("--minimize", action="store_true",
                      help="delta-minimize each disagreeing program")
@@ -121,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write every generated source to --out")
     out.add_argument("--out", type=Path, default=None, metavar="DIR",
                      help="directory for emitted/minimized .c files")
-    out.add_argument("--stats", type=Path, default=None, metavar="FILE",
+    out.add_argument("--stats-out", type=Path, default=None,
+                     metavar="FILE",
                      help="write a run-statistics JSON artifact")
     out.add_argument("--quiet", action="store_true",
                      help="suppress per-program progress lines")
@@ -143,51 +122,13 @@ def _parse_targets(spec: str | None) -> tuple[Target, ...]:
     return tuple(out)
 
 
-def _parse_shard(spec: str | None) -> tuple[int, int] | None:
-    """Parse ``--shard I/N`` into ``(index, total)``."""
-    if spec is None:
-        return None
-    index_word, sep, total_word = spec.partition("/")
-    try:
-        if not sep:
-            raise ValueError(spec)
-        index, total = int(index_word), int(total_word)
-    except ValueError:
-        raise ValueError(f"--shard expects I/N, got {spec!r}") from None
-    if total <= 0 or not 0 <= index < total:
-        raise ValueError(
-            f"--shard expects 0 <= I < N, got {spec!r}")
-    return index, total
-
-
-def _programs(ns: argparse.Namespace,
-              shard: tuple[int, int] | None) -> list[GeneratedProgram]:
+def _programs(ns: argparse.Namespace) -> list[GeneratedProgram]:
     seeds: Iterable[int]
     if ns.seed is not None:
         seeds = ns.seed
     else:
         seeds = range(ns.seeds if ns.seeds is not None else 20)
-    if shard is not None:
-        # Stripe the seed range *before* generation: shard I of N owns
-        # exactly the seeds with seed % N == I, so a CI matrix covers
-        # every seed once with no coordination between shards.
-        index, total = shard
-        seeds = [s for s in seeds if s % total == index]
     return list(generate_many(seeds, mode=ns.mode, nprocs=ns.nprocs))
-
-
-def _oracle_payload(gp: GeneratedProgram,
-                    config: OracleConfig) -> tuple[object, ...]:
-    """Cache-key payload for one (program, config) oracle check.
-
-    Everything :func:`check_program` is a function of, as primitives
-    (see :func:`repro.lintserve.cache.unit_key`). The seed and mode
-    are included because they name the program in every recorded
-    disagreement, not just because they seeded generation.
-    """
-    return (gp.seed, gp.mode, gp.nprocs, gp.source, repr(gp.planted),
-            tuple(t.value for t in config.targets), config.fuzz_seeds,
-            config.fix_check, config.weaken, config.max_time)
 
 
 def _check_unit(item: tuple[GeneratedProgram, OracleConfig]) -> dict:
@@ -202,41 +143,21 @@ def _check_unit(item: tuple[GeneratedProgram, OracleConfig]) -> dict:
 
 
 def _iter_results(programs: list[GeneratedProgram],
-                  configs: list[OracleConfig], jobs: int,
-                  cache: object | None) -> Iterable[dict]:
+                  configs: list[OracleConfig],
+                  jobs: int) -> Iterable[dict]:
     """Oracle summaries for each program, in generation order.
 
-    ``jobs > 1`` fans cache misses over :func:`repro.lintserve.
-    scheduler.pool_map` (order-preserving, so the merged output is
-    identical to the sequential path); otherwise checks run inline so
-    progress lines stay live.
+    ``jobs > 1`` fans the checks over :func:`repro.lintserve.
+    scheduler.pool_map` (order-preserving, so the output is identical
+    to the sequential path); otherwise checks run inline so progress
+    lines stay live.
     """
-    from repro.lintserve.scheduler import pool_map
-
-    keys: list[str | None] = []
-    hits: list[dict | None] = []
-    pending: list[tuple[GeneratedProgram, OracleConfig]] = []
-    for gp, config in zip(programs, configs):
-        key = hit = None
-        if cache is not None:
-            key = cache.key("diffgen", _oracle_payload(gp, config))
-            hit = cache.get(key)
-        keys.append(key)
-        hits.append(hit)
-        if hit is None:
-            pending.append((gp, config))
+    items = list(zip(programs, configs))
     if jobs > 1:
-        computed = iter(pool_map(_check_unit, pending, jobs))
-    else:
-        computed = (_check_unit(item) for item in pending)
-    for key, hit in zip(keys, hits):
-        if hit is not None:
-            yield hit
-            continue
-        value = next(computed)
-        if cache is not None and key is not None:
-            cache.put(key, value)
-        yield value
+        from repro.lintserve.scheduler import pool_map
+
+        return pool_map(_check_unit, items, jobs)
+    return map(_check_unit, items)
 
 
 def _minimize_one(gp: GeneratedProgram, disagreement: Disagreement,
@@ -266,98 +187,15 @@ def _minimize_one(gp: GeneratedProgram, disagreement: Disagreement,
             "final_statements": shrunk.final_statements}
 
 
-def _merge_stats(out: Path, inputs: list[Path],
-                 expect_disagreements: bool) -> int:
-    """``--merge-stats``: combine per-shard stats artifacts.
-
-    The CI merge step: sums counters, concatenates disagreement /
-    explained / minimized records, verifies that recorded ``I/N``
-    shards share one N and cover ``0..N-1`` exactly once, and fails
-    (exit 1) when any shard recorded an unexplained disagreement.
-    """
-    if not inputs:
-        print("repro-gen: --merge-stats requires --stats-in",
-              file=sys.stderr)
-        return 2
-    merged: dict[str, object] = {
-        "programs": 0, "modes": {}, "targets": None,
-        "oracle_checks": 0, "disagreements": [], "explained": [],
-        "minimized": [], "weaken": None, "shards": [],
-    }
-    shard_specs: list[tuple[int, int] | None] = []
-    for path in inputs:
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro-gen: cannot read stats {path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        merged["programs"] += int(data.get("programs", 0))
-        for mode, count in data.get("modes", {}).items():
-            merged["modes"][mode] = (merged["modes"].get(mode, 0)
-                                     + int(count))
-        targets = data.get("targets")
-        if merged["targets"] is None:
-            merged["targets"] = targets
-        elif targets is not None and targets != merged["targets"]:
-            print(f"repro-gen: {path} swept targets {targets}, other "
-                  f"shards swept {merged['targets']}", file=sys.stderr)
-            return 2
-        merged["oracle_checks"] += int(data.get("oracle_checks", 0))
-        merged["disagreements"].extend(data.get("disagreements", []))
-        merged["explained"].extend(data.get("explained", []))
-        merged["minimized"].extend(data.get("minimized", []))
-        merged["weaken"] = merged["weaken"] or data.get("weaken")
-        try:
-            shard_specs.append(_parse_shard(data.get("shard")))
-        except ValueError:
-            shard_specs.append(None)
-        merged["shards"].append({
-            "file": str(path),
-            "shard": data.get("shard"),
-            "programs": int(data.get("programs", 0)),
-            "disagreements": len(data.get("disagreements", [])),
-        })
-    if all(spec is not None for spec in shard_specs):
-        totals = {spec[1] for spec in shard_specs}
-        indices = sorted(spec[0] for spec in shard_specs)
-        if len(totals) != 1 or indices != list(range(indices[-1] + 1)) \
-                or len(indices) != next(iter(totals)):
-            print(f"repro-gen: shard coverage is not a complete "
-                  f"0..N-1 partition: "
-                  f"{sorted(s[0] for s in shard_specs)} of N="
-                  f"{sorted(totals)}", file=sys.stderr)
-            return 2
-    disagreements = merged["disagreements"]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(merged, indent=2) + "\n")
-    print(f"merged {len(inputs)} shard(s): {merged['programs']} "
-          f"programs, {merged['oracle_checks']} oracle checks, "
-          f"{len(disagreements)} disagreements "
-          f"({len(merged['explained'])} explained divergences)")
-    print(f"stats written to {out}")
-    if expect_disagreements:
-        if not disagreements:
-            print("repro-gen: expected disagreements but found none "
-                  "across all shards", file=sys.stderr)
-            return 1
-        return 0
-    return 1 if disagreements else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     ns = build_parser().parse_args(argv)
-    if ns.merge_stats is not None:
-        return _merge_stats(ns.merge_stats, list(ns.stats_in or []),
-                            ns.expect_disagreements)
     try:
         targets = _parse_targets(ns.targets)
-        shard = _parse_shard(ns.shard)
     except Exception as exc:
         print(f"repro-gen: {exc}", file=sys.stderr)
         return 2
-    programs = _programs(ns, shard)
+    programs = _programs(ns)
     out_dir = ns.out or Path("examples/pragmas/generated")
 
     if ns.emit:
@@ -387,11 +225,6 @@ def main(argv: list[str] | None = None) -> int:
               f"programs (every {ns.fix_sample}th; the rest skip "
               f"check (d))")
 
-    cache = None
-    if ns.cache_dir is not None:
-        from repro.lintserve.cache import ResultCache
-
-        cache = ResultCache(ns.cache_dir)
     jobs = max(1, ns.jobs) if ns.jobs is not None else 1
     configs = [(fix_config if ns.fix_sample > 0
                 and index % ns.fix_sample == 0 else config)
@@ -402,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     disagreements: list[Disagreement] = []
     minimized: list[dict[str, object]] = []
     mode_counts: dict[str, int] = {}
-    results = _iter_results(programs, configs, jobs, cache)
+    results = _iter_results(programs, configs, jobs)
     for index, (gp, result) in enumerate(zip(programs, results)):
         mode_counts[gp.mode] = mode_counts.get(gp.mode, 0) + 1
         checks += result["checks"]
@@ -429,13 +262,9 @@ def main(argv: list[str] | None = None) -> int:
                f"{len(disagreements)} disagreements "
                f"({len(explained)} explained divergences)")
     print(summary)
-    if cache is not None and not ns.quiet:
-        print(f"oracle cache: {cache.hits} hit(s), {cache.misses} "
-              f"miss(es) (hit rate {cache.hit_rate:.0%})")
-    if ns.stats is not None:
+    if ns.stats_out is not None:
         stats = {
             "programs": len(programs),
-            "shard": ns.shard,
             "jobs": jobs,
             "modes": mode_counts,
             "targets": [t.value for t in targets],
@@ -445,11 +274,10 @@ def main(argv: list[str] | None = None) -> int:
             "minimized": minimized,
             "weaken": ns.weaken_oracle,
             "hb_cache": hb.GRAPH_CACHE.stats(),
-            "cache": cache.stats() if cache is not None else None,
         }
-        ns.stats.parent.mkdir(parents=True, exist_ok=True)
-        ns.stats.write_text(json.dumps(stats, indent=2) + "\n")
-        print(f"stats written to {ns.stats}")
+        ns.stats_out.parent.mkdir(parents=True, exist_ok=True)
+        ns.stats_out.write_text(json.dumps(stats, indent=2) + "\n")
+        print(f"stats written to {ns.stats_out}")
 
     if ns.expect_disagreements:
         if not disagreements:

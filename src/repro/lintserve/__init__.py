@@ -16,9 +16,9 @@ its files through:
 * :mod:`~repro.lintserve.merge` owns result (de)serialization and the
   byte-identical report assembly both of the above rely on.
 
-The differential-oracle sweep (``repro-gen --jobs/--cache-dir``)
-reuses the same pool helper and cache store. See ``docs/LINTSERVE.md``
-for the architecture and the CI topology built on top.
+The differential-oracle sweep (``repro-gen --jobs``) reuses the same
+pool helper. See ``docs/LINTSERVE.md`` for the architecture and the CI
+topology built on top.
 """
 
 from repro.lintserve.cache import (

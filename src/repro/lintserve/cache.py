@@ -1,18 +1,17 @@
-"""On-disk memoization of per-file lint results and oracle verdicts.
+"""On-disk memoization of per-file lint results.
 
 Verification cost is a pure function of its inputs: every file's lint
-(:mod:`repro.lintserve.scheduler`) and every differential-oracle check
-(:mod:`repro.gen.oracle`) is deterministic in (source text, world
-size, variable bindings, target sweep) — *and* in the analysis code
-itself. The cache therefore keys each result by a content hash over
+(:mod:`repro.lintserve.scheduler`) is deterministic in (source text,
+world size, variable bindings, target sweep, ``--advise``) — *and* in
+the analysis code itself. The cache therefore keys each result by a
+content hash over
 
 * an **analysis-version salt** — a digest of every ``repro`` source
-  file, so editing any analyzer (or the simulator the oracle runs)
-  invalidates the whole cache rather than serving stale verdicts;
-* the **kind** (``lint`` / ``diffgen``);
+  file, so editing any analyzer invalidates the whole cache rather
+  than serving stale verdicts;
 * the **payload** — the raw source text plus the parameters the
-  result is a function of (nprocs, extra vars, target sweep,
-  ``--advise``, oracle config).
+  result is a function of (the :class:`~repro.lintserve.scheduler.
+  FileTask`).
 
 This is the same content-hash idiom the fix ledger uses for rewrite
 signatures and :func:`repro.core.analysis.hb.unroll_key` uses for the
@@ -24,10 +23,10 @@ Entries are one JSON file each, flat under ``<root>/objects/<k>.json``
 (one entry per linted file keeps even a large tree well within one
 directory; the ``objects`` directory is created on the first store
 that finds it missing). Each is written atomically (temp file +
-``os.replace``), so concurrent writers — pool workers, parallel CI
-shards sharing a restored cache — can never publish a torn entry. A
-corrupt, truncated or non-object entry is treated as a miss and
-deleted.
+``os.replace``), so concurrent writers — pool workers, concurrent
+``repro-lint`` runs sharing one cache directory — can never publish a
+torn entry. A corrupt, truncated or non-object entry is treated as a
+miss and deleted.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def analysis_salt() -> str:
     return _SALT
 
 
-def unit_key(kind: str, payload: object, salt: str | None = None) -> str:
+def unit_key(payload: object, salt: str | None = None) -> str:
     """Content hash identifying one memoizable unit of analysis.
 
     ``payload`` must be a value whose ``repr`` is deterministic and
@@ -75,8 +74,6 @@ def unit_key(kind: str, payload: object, salt: str | None = None) -> str:
     """
     h = hashlib.sha256()
     h.update((salt if salt is not None else analysis_salt()).encode())
-    h.update(b"\0")
-    h.update(kind.encode())
     h.update(b"\0")
     h.update(repr(payload).encode())
     return h.hexdigest()
@@ -93,9 +90,9 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
 
-    def key(self, kind: str, payload: object) -> str:
+    def key(self, payload: object) -> str:
         """The cache key for one result (see :func:`unit_key`)."""
-        return unit_key(kind, payload, self.salt)
+        return unit_key(payload, self.salt)
 
     def _path(self, key: str) -> Path:
         return self.root / "objects" / f"{key}.json"

@@ -194,7 +194,7 @@ def lint_sources(sources: Sequence[tuple[str, str]], *,
     keys: dict[FileTask, str] = {}
     for task in dict.fromkeys(tasks):
         if cache is not None:
-            keys[task] = key = cache.key("lint", task)
+            keys[task] = key = cache.key(task)
             hit = cache.get(key)
             if hit is not None:
                 results[task] = hit

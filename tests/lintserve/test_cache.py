@@ -37,32 +37,31 @@ def test_rename_hits_edit_misses():
     # The display path is not a lint input: a renamed file is the
     # same task and so the same key.
     assert "path" not in FileTask._fields
-    assert unit_key("lint", _task()) == unit_key("lint", _task())
-    assert unit_key("lint", _task()) != \
-        unit_key("lint", _task(source=SRC + "\n"))
+    assert unit_key(_task()) == unit_key(_task())
+    assert unit_key(_task()) != \
+        unit_key(_task(source=SRC + "\n"))
 
 
 def test_every_analysis_input_participates():
-    base = unit_key("lint", _task())
+    base = unit_key(_task())
     variants = [_task(nprocs=4), _task(extra_vars=(("px", 3),)),
                 _task(swept=ALL[:1]), _task(advise=True)]
-    keys = {unit_key("lint", task) for task in variants}
+    keys = {unit_key(task) for task in variants}
     assert base not in keys and len(keys) == len(variants)
-    assert unit_key("diffgen", _task()) != base
 
 
 def test_salt_participates():
     payload = _task()
-    assert unit_key("lint", payload, salt="v1") != \
-        unit_key("lint", payload, salt="v2")
+    assert unit_key(payload, salt="v1") != \
+        unit_key(payload, salt="v2")
     # The default salt is the real analysis digest, stable in-process.
-    assert unit_key("lint", payload) == \
-        unit_key("lint", payload, salt=analysis_salt())
+    assert unit_key(payload) == \
+        unit_key(payload, salt=analysis_salt())
 
 
 def test_disk_roundtrip_and_counters(tmp_path):
     cache = ResultCache(tmp_path)
-    key = cache.key("lint", _task())
+    key = cache.key(_task())
     assert cache.get(key) is None
     cache.put(key, {"n": 1})
     assert cache.get(key) == {"n": 1}
@@ -76,7 +75,7 @@ def test_disk_roundtrip_and_counters(tmp_path):
 
 def test_corrupt_entry_is_a_miss_and_deleted(tmp_path):
     cache = ResultCache(tmp_path)
-    key = cache.key("lint", _task())
+    key = cache.key(_task())
     cache.put(key, {"n": 1})
     path = cache._path(key)
     path.write_text("{truncated")
@@ -91,7 +90,7 @@ def test_corrupt_entry_is_a_miss_and_deleted(tmp_path):
 
 def test_lazy_mkdir_survives_a_removed_objects_dir(tmp_path):
     cache = ResultCache(tmp_path)
-    first, second = (cache.key("lint", _task(nprocs=n)) for n in (2, 4))
+    first, second = (cache.key(_task(nprocs=n)) for n in (2, 4))
     cache.put(first, {"n": 1})
     shutil.rmtree(tmp_path / "objects")
     cache.put(second, {"n": 2})
@@ -145,7 +144,7 @@ def test_corrupt_file_entry_is_relinted_identically(tmp_path):
     sources = _sources()
     cold, _ = lint_sources(sources, cache=ResultCache(tmp_path))
     cache = ResultCache(tmp_path)
-    path = cache._path(cache.key("lint", _task(source=sources[1][1])))
+    path = cache._path(cache.key(_task(source=sources[1][1])))
     path.write_text('{"structure": {"n_dir')
     warm, stats = lint_sources(sources, cache=cache)
     assert (cache.hits, cache.misses, cache.stores) == (2, 1, 1)

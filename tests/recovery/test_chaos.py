@@ -71,7 +71,7 @@ class TestCli:
         out = tmp_path / "chaos.json"
         rc = chaos_main(["--patterns", "ring", "--targets",
                          FUZZ_TARGETS[0], "--policies", "respawn",
-                         "--seeds", "2", "--json", str(out)])
+                         "--seeds", "2", "--stats-out", str(out)])
         assert rc == 0
         artifact = json.loads(out.read_text())
         assert artifact["seeds"] == 2
