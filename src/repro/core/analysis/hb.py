@@ -248,7 +248,7 @@ class GraphCache:
         self.misses = 0
 
     def stats(self) -> dict[str, int]:
-        """Counters for tooling (the ``repro-gen`` stats artifact)."""
+        """Counters for tooling (``perfbench``'s ``hb.cache`` counters)."""
         return {"entries": len(self._store), "hits": self.hits,
                 "misses": self.misses}
 

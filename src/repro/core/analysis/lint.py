@@ -33,8 +33,8 @@ from repro.core.analysis.dataflow import (
 )
 from repro.core.analysis.infer import infer_count_static
 from repro.core.analysis.overlap import overlap_legal
-from repro.core.analysis.syncopt import SyncPlan, plan_synchronization
-from repro.core.analysis.verify import verify_all_targets
+from repro.core.analysis.syncopt import plan_synchronization
+from repro.core.analysis.verify import VerifyReport, verify_all_targets
 from repro.core.clauses import Target
 from repro.core.ir import ClauseExprs, P2PNode, ParamRegionNode, Program
 from repro.errors import ReproError, VerificationError
@@ -205,62 +205,28 @@ def lint_program(program: Program, nprocs: int = 8,
                  model: Any = None) -> LintReport:
     """Run every static analysis over a parsed program.
 
-    Per-directive validation plus whole-program verification for each
-    lowering target; findings identical on every swept target are
-    collapsed to one diagnostic with ``target="*"``. ``targets``
-    restricts the sweep (default: all three). ``advise=True``
-    additionally runs the performance advisor
-    (:mod:`repro.core.analysis.advisor`), whose CI1xx warnings carry a
-    net-model estimated saving for the first swept target under
-    ``model`` (default: the calibrated Gemini model).
-
-    The pass is assembled from per-file pieces that share one sync
-    plan: :func:`structure_report`, one
-    :func:`~repro.core.analysis.verify.verify_all_targets` sweep over
-    the swept targets (one rank walk, one printed source, one walk key
-    for all of them) and :func:`advise_diagnostics`, merged by
-    :func:`collapse_across_targets` + :func:`finalize_report`. The
-    sharded lint service (:mod:`repro.lintserve`) runs the same pieces
-    once per file in worker processes and merges them with the same
-    functions, which is what makes its output byte-identical to this
-    function's reports.
-    """
-    swept = list(targets) if targets else list(Target)
-    plan = plan_synchronization(program)
-    report = structure_report(program, nprocs, extra_vars, path,
-                              targets=swept, plan=plan)
-    verdicts = verify_all_targets(program, nprocs=nprocs,
-                                  extra_vars=extra_vars, plan=plan,
-                                  targets=swept)
-    per_target = {t.value: verdicts[t].diagnostics for t in swept}
-    collapsed = collapse_across_targets(
-        per_target, [t.value for t in swept])
-    advisories = (advise_diagnostics(program, nprocs, extra_vars,
-                                     swept, model)
-                  if advise else [])
-    return finalize_report(report, collapsed, advisories)
-
-
-def structure_report(program: Program, nprocs: int = 8,
-                     extra_vars: dict[str, int] | None = None,
-                     path: str = "", *,
-                     targets: list[Target] | None = None,
-                     plan: SyncPlan | None = None) -> LintReport:
-    """The target-independent part of one file's lint.
-
-    Headline numbers (directive/region counts, sync-plan
-    consolidation), CI021 forced-split findings, and the per-directive
-    checks (clause completeness, count inference, pattern
-    classification, SPMD matching, overlap legality). Everything here
-    is a pure function of (program, nprocs, extra_vars) — no lowering
-    target participates — so the sharded driver runs it once per file.
+    The one composition of the lint passes; the lint service
+    (:mod:`repro.lintserve`) runs it once per file and caches the
+    finished report. One sync plan gives the headline numbers and the
+    CI021 forced-split findings and feeds the verifier. The
+    per-directive checks (clause completeness, count inference,
+    pattern classification, SPMD matching, overlap legality) and the
+    ``max_comm_iter`` check are target-independent. One
+    :func:`~repro.core.analysis.verify.verify_all_targets` sweep (one
+    rank walk, one printed source, one walk key) proves each lowering
+    target; findings identical on every swept target are collapsed to
+    one diagnostic with ``target="*"``. ``targets`` restricts the
+    sweep (default: all three). ``advise=True`` additionally runs the
+    performance advisor (:mod:`repro.core.analysis.advisor`), whose
+    CI1xx warnings carry a net-model estimated saving for the first
+    swept target under ``model`` (default: the calibrated Gemini
+    model). Shadowed findings are dropped and the rest sorted.
     """
     swept = list(targets) if targets else list(Target)
     report = LintReport(path=path, targets=[t.value for t in swept])
     report.n_directives = len(program.all_p2p())
     report.n_regions = len(program.regions())
-    if plan is None:
-        plan = plan_synchronization(program)
+    plan = plan_synchronization(program)
     report.sync_calls = plan.total_sync_calls
     report.sync_reduction = plan.reduction_factor(program)
 
@@ -281,6 +247,21 @@ def structure_report(program: Program, nprocs: int = 8,
             held[id(scope)] += 1
     for key, region in scopes.items():
         _lint_max_comm_iter(region, held[key], nprocs, extra_vars, report)
+
+    verdicts = verify_all_targets(program, nprocs=nprocs,
+                                  extra_vars=extra_vars, plan=plan,
+                                  targets=swept)
+    report.diagnostics.extend(_collapse_across_targets(verdicts, swept))
+    if advise:
+        from repro.core.analysis.advisor import advise_program
+        from repro.core.clauses import DEFAULT_TARGET
+        advise_target = (DEFAULT_TARGET if DEFAULT_TARGET in swept
+                         else swept[0])
+        report.diagnostics.extend(f.diagnostic for f in advise_program(
+            program, nprocs, target=advise_target,
+            extra_vars=extra_vars, model=model))
+    _suppress_shadowed(report)
+    report.diagnostics.sort(key=lambda d: d.sort_key())
     return report
 
 
@@ -306,73 +287,30 @@ def _lint_max_comm_iter(region: ParamRegionNode, instances: int,
             f"max_comm_iter({expr}) admits {limit}", target="*"))
 
 
-def advise_diagnostics(program: Program, nprocs: int,
-                       extra_vars: dict[str, int] | None,
-                       swept: list[Target],
-                       model: Any = None) -> list[Diagnostic]:
-    """The performance-advisor unit (CI1xx warnings with savings)."""
-    from repro.core.analysis.advisor import advise_program
-    from repro.core.clauses import DEFAULT_TARGET
-    advise_target = (DEFAULT_TARGET if DEFAULT_TARGET in swept
-                     else swept[0])
-    return [f.diagnostic for f in advise_program(
-        program, nprocs, target=advise_target,
-        extra_vars=extra_vars, model=model)]
-
-
-def collapse_across_targets(per_target: dict[str, list[Diagnostic]],
-                            swept: list[str]) -> list[Diagnostic]:
+def _collapse_across_targets(verdicts: dict[Target, VerifyReport],
+                             swept: list[Target]) -> list[Diagnostic]:
     """Merge per-target verifier findings into tagged diagnostics.
 
     A finding produced with the same (code, line, directive, message)
     on every swept target is target-independent: collapse to
-    ``target="*"``. ``per_target`` maps target *values* to the
-    diagnostics of that target's verifier report; ``swept`` fixes the
-    iteration order (first-seen order decides output order, exactly as
-    the sequential sweep produced it).
+    ``target="*"``; otherwise keep one copy per target that produced
+    it. First-seen order over ``swept`` decides output order.
     """
     grouped: dict[tuple[str, int, int | None, str],
                   tuple[Diagnostic, list[str]]] = {}
-    order: list[tuple[str, int, int | None, str]] = []
     for target in swept:
-        for d in per_target.get(target, []):
+        for d in verdicts[target].diagnostics:
             key = (d.code, d.line, d.directive, d.message)
-            if key not in grouped:
-                grouped[key] = (d, [])
-                order.append(key)
-            grouped[key][1].append(target)
+            grouped.setdefault(key, (d, []))[1].append(target.value)
     out: list[Diagnostic] = []
-    for key in order:
-        d, targets = grouped[key]
-        if len(targets) == len(swept):
+    for d, targets in grouped.values():
+        tags = ["*"] if len(targets) == len(swept) else targets
+        for t in tags:
             out.append(Diagnostic(
                 severity=d.severity, line=d.line, message=d.message,
-                code=d.code, directive=d.directive, target="*",
+                code=d.code, directive=d.directive, target=t,
                 fixit=d.fixit))
-        else:
-            for t in targets:
-                out.append(Diagnostic(
-                    severity=d.severity, line=d.line,
-                    message=d.message, code=d.code,
-                    directive=d.directive, target=t, fixit=d.fixit))
     return out
-
-
-def finalize_report(report: LintReport,
-                    verifier: list[Diagnostic],
-                    advisories: list[Diagnostic]) -> LintReport:
-    """Merge the per-file pieces into the final report (in place).
-
-    Appends the collapsed verifier findings and the advisories to the
-    structure report, drops shadowed findings, and sorts — the last
-    word on report ordering, shared by the sequential and sharded
-    paths.
-    """
-    report.diagnostics.extend(verifier)
-    report.diagnostics.extend(advisories)
-    _suppress_shadowed(report)
-    report.diagnostics.sort(key=lambda d: d.sort_key())
-    return report
 
 
 def _suppress_shadowed(report: LintReport) -> None:

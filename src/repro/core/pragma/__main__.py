@@ -239,7 +239,7 @@ def main_lint(argv: list[str] | None = None) -> int:
                               "hash lookup")
     service.add_argument("--stats-out", metavar="FILE", default=None,
                          help="write scheduler/cache statistics JSON "
-                              "(units, hit rate, wall times)")
+                              "(files, hit rate, wall times)")
     args = parser.parse_args(argv)
     if not args.inputs and not args.catalog:
         parser.print_usage(sys.stderr)
@@ -300,7 +300,7 @@ def main_lint(argv: list[str] | None = None) -> int:
             fixes=fixes if do_fix else None))
 
     if args.jobs is not None or cache is not None:
-        print(f"repro-lint: {stats.units_total} unit(s): "
+        print(f"repro-lint: {stats.units_total} file(s): "
               f"{stats.units_from_cache} cached, "
               f"{stats.units_executed} executed with --jobs {jobs} "
               f"in {stats.wall_s:.2f}s "

@@ -132,13 +132,21 @@ def _programs(ns: argparse.Namespace) -> list[GeneratedProgram]:
 
 
 def _check_unit(item: tuple[GeneratedProgram, OracleConfig]) -> dict:
-    """Pool worker: one oracle check → a JSON-serializable summary."""
+    """Pool worker: one oracle check → a JSON-serializable summary.
+
+    ``hb_hits``/``hb_misses`` are this check's own walk-cache lookups,
+    counted in whichever process ran it.
+    """
     gp, config = item
+    cache = hb.GRAPH_CACHE
+    hits, misses = cache.hits, cache.misses
     result = check_program(gp, config)
     return {
         "checks": result.checks,
         "explained": list(result.explained),
         "disagreements": [asdict(d) for d in result.disagreements],
+        "hb_hits": cache.hits - hits,
+        "hb_misses": cache.misses - misses,
     }
 
 
@@ -231,6 +239,7 @@ def main(argv: list[str] | None = None) -> int:
                for index in range(len(programs))]
 
     checks = 0
+    hb_cache = {"hits": 0, "misses": 0}
     explained: list[str] = []
     disagreements: list[Disagreement] = []
     minimized: list[dict[str, object]] = []
@@ -239,6 +248,8 @@ def main(argv: list[str] | None = None) -> int:
     for index, (gp, result) in enumerate(zip(programs, results)):
         mode_counts[gp.mode] = mode_counts.get(gp.mode, 0) + 1
         checks += result["checks"]
+        hb_cache["hits"] += result["hb_hits"]
+        hb_cache["misses"] += result["hb_misses"]
         explained.extend(result["explained"])
         found = [Disagreement(**d) for d in result["disagreements"]]
         if found:
@@ -273,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
             "explained": explained,
             "minimized": minimized,
             "weaken": ns.weaken_oracle,
-            "hb_cache": hb.GRAPH_CACHE.stats(),
+            "hb_cache": hb_cache,
         }
         ns.stats_out.parent.mkdir(parents=True, exist_ok=True)
         ns.stats_out.write_text(json.dumps(stats, indent=2) + "\n")

@@ -2,19 +2,21 @@
 
 The paper's directive toolchain is only useful at scale if whole-tree
 verification is cheap enough to run on every commit. Verification
-cost is per (program, nprocs, target) and embarrassingly parallel, so
+cost is per file and embarrassingly parallel, so
 this package is the one path every ``repro-lint`` invocation lints
 its files through:
 
-* :mod:`~repro.lintserve.scheduler` fans per-file lint tasks over a
-  ``ProcessPoolExecutor`` (``--jobs N``; inline at the default
-  ``N = 1``) and merges results deterministically, so the output is
-  byte-identical whatever the job count;
-* :mod:`~repro.lintserve.cache` memoizes each file's result on disk,
-  keyed by content hash + an analysis-version salt, so re-lints of an
-  unchanged tree cost one hash lookup per file (``--cache-dir``);
-* :mod:`~repro.lintserve.merge` owns result (de)serialization and the
-  byte-identical report assembly both of the above rely on.
+* :mod:`~repro.lintserve.scheduler` runs
+  :func:`~repro.core.analysis.lint.lint_program` once per file,
+  fanning the files over a ``ProcessPoolExecutor`` (``--jobs N``;
+  inline at the default ``N = 1``), and returns the reports in file
+  order, so the output is byte-identical whatever the job count;
+* :mod:`~repro.lintserve.cache` memoizes each file's finished report
+  on disk, keyed by content hash + an analysis-version salt, so
+  re-lints of an unchanged tree cost one hash lookup per file
+  (``--cache-dir``);
+* :mod:`~repro.lintserve.merge` is the report's exact JSON round
+  trip, the form workers return and the cache stores.
 
 The differential-oracle sweep (``repro-gen --jobs``) reuses the same
 pool helper. See ``docs/LINTSERVE.md`` for the architecture and the CI
@@ -26,7 +28,6 @@ from repro.lintserve.cache import (
     analysis_salt,
     unit_key,
 )
-from repro.lintserve.merge import assemble_file_report
 from repro.lintserve.scheduler import (
     FileTask,
     LintServiceStats,
@@ -39,7 +40,6 @@ __all__ = [
     "LintServiceStats",
     "ResultCache",
     "analysis_salt",
-    "assemble_file_report",
     "lint_sources",
     "pool_map",
     "unit_key",

@@ -2,29 +2,25 @@
 
 The unit of memoization and of execution is one file: its lint is a
 pure function of (source text, nprocs, extra vars, swept targets,
-advise), the :class:`FileTask`. A task parses the source once, plans
-its synchronization once, runs the verifier once for the whole target
-sweep (one rank walk serves every target) and fills the file's result
-*slots* — the decomposition
-:func:`repro.core.analysis.lint.lint_program` itself is built from:
-the target-independent ``structure`` slot, one ``verify:<target>``
-slot per swept target and, under ``--advise``, the ``advise`` slot.
-The slot map is what a worker returns, what the cache stores under
-the task's key and what :mod:`repro.lintserve.merge` assembles, so a
-1000-file tree is 1000 cache entries and an incremental re-lint
-re-executes only the files that changed. Files with the same task in
-one call (a copied file) run once and are stored once.
+advise), the :class:`FileTask`. :func:`lint_file` parses the source
+once and runs :func:`~repro.core.analysis.lint.lint_program`, the one
+composition of the lint passes, on it. The finished report, in the
+JSON form of :mod:`repro.lintserve.merge`, is what a worker returns
+and what the cache stores under the task's key, so a 1000-file tree
+is 1000 cache entries and an incremental re-lint re-executes only the
+files that changed. Files with the same task in one call (a copied
+file) run once and are stored once.
 
 Scheduling is deterministic-by-construction: tasks are *generated* in
 file order, *executed* in any order (``ProcessPoolExecutor.map`` over
-the cache misses), and *merged* strictly in file order by
-:mod:`repro.lintserve.merge` — completion order never influences the
-report, which is what keeps ``--jobs N`` output byte-identical for
-every ``N``.
+the cache misses), and every report is rebuilt from its entry
+strictly in file order, on a cache hit and on a miss alike —
+completion order never influences the output, which is what keeps
+``--jobs N`` output byte-identical for every ``N``.
 
-Every executed slot's wall time rides along in its result dict (and
-in the cache); the run's stats sum them as ``executed_wall_s`` and
-count ``units_*`` in slots.
+Each entry carries its task's wall time (also in the cache); the
+run's stats sum the executed ones as ``executed_wall_s`` and count
+``units_*`` in input files.
 """
 
 from __future__ import annotations
@@ -34,25 +30,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from repro.core.analysis.lint import (
-    LintReport,
-    advise_diagnostics,
-    structure_report,
-)
-from repro.core.analysis.syncopt import plan_synchronization
-from repro.core.analysis.verify import verify_all_targets
+from repro.core.analysis.codes import make
+from repro.core.analysis.lint import LintReport, lint_program
 from repro.core.clauses import Target
 from repro.core.pragma import parse_program
 from repro.errors import ReproError
 from repro.lintserve.cache import ResultCache
-from repro.lintserve.merge import (
-    assemble_file_report,
-    serialize_diagnostics,
-    serialize_structure,
-)
+from repro.lintserve.merge import report_from_dict, report_to_dict
 
-__all__ = ["FileTask", "LintServiceStats", "lint_sources", "pool_map",
-           "run_file_units"]
+__all__ = ["FileTask", "LintServiceStats", "lint_file", "lint_sources",
+           "pool_map"]
 
 
 class FileTask(NamedTuple):
@@ -69,50 +56,29 @@ class FileTask(NamedTuple):
     advise: bool
 
 
-def run_file_units(task: FileTask) -> dict[str, dict]:
-    """Lint one file (in a pool worker or inline) into its slot map.
+def lint_file(task: FileTask) -> dict:
+    """Lint one file (in a pool worker or inline) into its cache entry.
 
-    One parse, one sync plan and one verifier sweep serve every slot,
-    as in ``lint_program``. Each slot carries its share of the file's
-    wall time: ``structure`` the parse, plan and per-directive checks,
-    each ``verify:<target>`` an equal share of the one sweep, and
-    ``advise`` the advisor.
-
-    A parse failure is a *result*, not an exception: the map holds
-    only a ``structure`` slot with the ``parse_error``, which the
-    merge turns into the CI000 report.
+    The entry holds the ``lint_program`` report as
+    :func:`~repro.lintserve.merge.report_to_dict` serializes it
+    (``report``) and the task's wall time (``wall_s``). A source the
+    parser rejects gives a report with one CI000 diagnostic at the
+    parser's line.
     """
     t_start = time.perf_counter()
-    extra_vars = dict(task.extra_vars) or None
-    swept = [Target.parse(t) for t in task.swept]
     try:
         program = parse_program(task.source)
     except ReproError as exc:
-        line = getattr(exc, "line", None) or 0
-        return {"structure": {
-            "parse_error": {"line": line, "message": str(exc)},
-            "wall_s": time.perf_counter() - t_start}}
-    plan = plan_synchronization(program)
-    out = {"structure": serialize_structure(structure_report(
-        program, task.nprocs, extra_vars, targets=swept, plan=plan))}
-    t_verify = time.perf_counter()
-    out["structure"]["wall_s"] = t_verify - t_start
-    verdicts = verify_all_targets(program, nprocs=task.nprocs,
-                                  extra_vars=extra_vars, plan=plan,
-                                  targets=swept)
-    t_done = time.perf_counter()
-    share = (t_done - t_verify) / len(swept)
-    for target in swept:
-        out[f"verify:{target.value}"] = {
-            "diagnostics": serialize_diagnostics(
-                verdicts[target].diagnostics),
-            "wall_s": share}
-    if task.advise:
-        diags = advise_diagnostics(program, task.nprocs, extra_vars,
-                                   swept)
-        out["advise"] = {"diagnostics": serialize_diagnostics(diags),
-                         "wall_s": time.perf_counter() - t_done}
-    return out
+        report = LintReport()
+        report.diagnostics.append(make(
+            "CI000", getattr(exc, "line", None) or 0, str(exc)))
+    else:
+        report = lint_program(
+            program, task.nprocs, dict(task.extra_vars) or None,
+            targets=[Target.parse(t) for t in task.swept],
+            advise=task.advise)
+    return {"report": report_to_dict(report),
+            "wall_s": time.perf_counter() - t_start}
 
 
 @dataclass
@@ -125,13 +91,13 @@ class LintServiceStats:
     units_executed: int = 0
     jobs: int = 1
     wall_s: float = 0.0
-    #: Sum of executed units' own wall times (the work the pool did).
+    #: Sum of the executed files' own wall times (the pool's work).
     executed_wall_s: float = 0.0
     cache: dict | None = None
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of units served from the cache."""
+        """Fraction of input files served from the cache."""
         return (self.units_from_cache / self.units_total
                 if self.units_total else 0.0)
 
@@ -189,7 +155,7 @@ def lint_sources(sources: Sequence[tuple[str, str]], *,
 
     tasks = [FileTask(source, nprocs, vars_t, swept_t, advise)
              for _path, source in sources]
-    results: dict[FileTask, dict[str, dict]] = {}
+    entries: dict[FileTask, dict] = {}
     pending: list[FileTask] = []
     keys: dict[FileTask, str] = {}
     for task in dict.fromkeys(tasks):
@@ -197,29 +163,22 @@ def lint_sources(sources: Sequence[tuple[str, str]], *,
             keys[task] = key = cache.key(task)
             hit = cache.get(key)
             if hit is not None:
-                results[task] = hit
+                entries[task] = hit
                 continue
         pending.append(task)
-    executed = set(pending)
 
-    for task, slots in zip(pending, pool_map(run_file_units, pending,
-                                             jobs)):
-        results[task] = slots
-        stats.executed_wall_s += sum(slot["wall_s"]
-                                     for slot in slots.values())
+    for task, entry in zip(pending, pool_map(lint_file, pending, jobs)):
+        entries[task] = entry
+        stats.executed_wall_s += entry["wall_s"]
         if cache is not None:
-            cache.put(keys[task], slots)
+            cache.put(keys[task], entry)
 
-    # structure, one verify:<target> per swept target, advise
-    n_slots = 1 + len(swept) + int(advise)
-    stats.units_total = n_slots * len(sources)
-    reports: list[LintReport] = []
-    for (path, _source), task in zip(sources, tasks):
-        if task in executed:
-            stats.units_executed += n_slots
-        reports.append(assemble_file_report(path, results[task], swept,
-                                            advise))
+    executed = set(pending)
+    stats.units_total = len(sources)
+    stats.units_executed = sum(task in executed for task in tasks)
     stats.units_from_cache = stats.units_total - stats.units_executed
+    reports = [report_from_dict(path, entries[task]["report"])
+               for (path, _source), task in zip(sources, tasks)]
     stats.wall_s = time.perf_counter() - t_start
     if cache is not None:
         stats.cache = cache.stats()

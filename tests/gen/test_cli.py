@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.core.analysis import hb
 from repro.gen.cli import build_parser, main
 from repro.gen.generator import generate
 
@@ -102,8 +103,9 @@ def test_weakened_run_is_caught_and_minimized(tmp_path, capsys,
 
 
 def test_jobs_reproduce_sequential(tmp_path, capsys, weakened_catch):
-    """``--jobs 2`` writes the inline run's stats, apart from ``jobs``;
-    the weakened sweep feeds pooled verdicts to the minimizer."""
+    """``--jobs 2`` writes the inline run's stats, apart from ``jobs``
+    (``hb_cache`` included); the weakened sweep feeds pooled verdicts
+    to the minimizer."""
     gp, _weakened = weakened_catch
     weak = ["--seed", str(gp.seed), str(gp.seed + 1), "--mode", "racy",
             "--diff", "--fuzz-seeds", "0", "--weaken-oracle",
@@ -112,11 +114,17 @@ def test_jobs_reproduce_sequential(tmp_path, capsys, weakened_catch):
     for name, base in (("clean", ["--seeds", "6", "--diff",
                                   "--fuzz-seeds", "0"]),
                        ("weak", weak)):
+        # Both runs start from an empty walk cache (pool workers fork
+        # from this process), so their hb_cache counts must agree.
+        hb.GRAPH_CACHE.clear()
         rc_seq, seq = _stats(tmp_path, f"{name}-seq.json", base)
+        hb.GRAPH_CACHE.clear()
         rc_par, par = _stats(tmp_path, f"{name}-par.json",
                              base + ["--jobs", "2"])
         assert rc_seq == rc_par == 0, capsys.readouterr().err
         assert (seq["jobs"], par["jobs"]) == (1, 2)
         assert _verdict(par) == _verdict(seq)
+        assert par["hb_cache"] == seq["hb_cache"]
+        assert seq["hb_cache"]["misses"] > 0
     assert seq["disagreements"] and seq["minimized"]
     capsys.readouterr()

@@ -114,7 +114,7 @@ def test_one_flat_entry_per_file_and_a_fully_memoized_warm_run(
     cache = ResultCache(tmp_path)
     cold, cold_stats = lint_sources(sources, cache=cache)
     assert (cache.misses, cache.stores) == (n, n)
-    assert cold_stats.units_executed == cold_stats.units_total == 4 * n
+    assert cold_stats.units_executed == cold_stats.units_total == n
     assert len(_entries(tmp_path)) == n
     assert list((tmp_path / "objects").iterdir()) == \
         list((tmp_path / "objects").glob("*.json"))
@@ -135,8 +135,8 @@ def test_duplicate_sources_are_linted_and_stored_once(tmp_path):
                                    ("copy/ring.c", ring)], cache=cache)
     assert (cache.misses, cache.stores) == (1, 1)
     assert len(_entries(tmp_path)) == 1
-    # Slot counters still count per input file.
-    assert stats.units_executed == stats.units_total == 8
+    # Unit counters still count per input file.
+    assert stats.units_executed == stats.units_total == 2
     assert [r.path for r in reports] == ["ring.c", "copy/ring.c"]
 
 
@@ -148,7 +148,7 @@ def test_corrupt_file_entry_is_relinted_identically(tmp_path):
     path.write_text('{"structure": {"n_dir')
     warm, stats = lint_sources(sources, cache=cache)
     assert (cache.hits, cache.misses, cache.stores) == (2, 1, 1)
-    assert stats.units_executed == 4
+    assert stats.units_executed == 1
     assert isinstance(json.loads(path.read_text()), dict)
     assert render_reports(warm, "json") == render_reports(cold, "json")
 
@@ -160,7 +160,7 @@ def test_subset_sweep_misses_and_matches_the_sequential_path(tmp_path):
     cache = ResultCache(tmp_path)
     reports, stats = lint_sources(sources, targets=subset, cache=cache)
     assert (cache.hits, cache.misses) == (0, len(sources))
-    assert stats.units_executed == 2 * len(sources)
+    assert stats.units_executed == len(sources)
     expected = [lint_program(parse_program(source), path=path,
                              targets=subset)
                 for path, source in sources]

@@ -74,8 +74,8 @@ def test_stats_out_without_service_flags(tmp_path, capsys):
     stats = json.loads(stats_file.read_text())
     assert stats["jobs"] == 1
     assert stats["files"] == 1
-    assert stats["units_total"] == 4
-    assert stats["units_executed"] == 4
+    assert stats["units_total"] == 1
+    assert stats["units_executed"] == 1
     assert stats["units_from_cache"] == 0
     assert "cache" not in stats and "salt" not in stats
 

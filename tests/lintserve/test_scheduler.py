@@ -1,9 +1,8 @@
 """The scheduler runs each file once, on one parse.
 
-A file's structure, verify and advise slots share one
-``parse_program``, one sync plan and one verifier sweep, as
-``lint_program`` shares them; the cache keeps one entry per file and
-the stats one wall time per slot.
+Each file is one ``parse_program`` and one ``lint_program`` run; the
+cache keeps one entry per file and the stats one wall time per
+executed file.
 """
 
 from pathlib import Path
@@ -46,31 +45,30 @@ def test_one_parse_per_file(monkeypatch):
                ("halo1d.c", (EXAMPLES / "halo1d.c").read_text()),
                ("evenodd.c", (EXAMPLES / "evenodd.c").read_text())]
     _, stats = lint_sources(sources, jobs=1, advise=True)
-    assert stats.units_executed == 3 * 5
+    assert stats.units_executed == 3
     assert sorted(calls) == sorted(source for _, source in sources)
 
 
 def test_one_wall_per_executed_unit(tmp_path, monkeypatch):
-    run = scheduler.run_file_units
+    run = scheduler.lint_file
 
     def one_second_each(task):
-        return {name: dict(slot, wall_s=1.0)
-                for name, slot in run(task).items()}
+        return dict(run(task), wall_s=1.0)
 
-    monkeypatch.setattr(scheduler, "run_file_units", one_second_each)
+    monkeypatch.setattr(scheduler, "lint_file", one_second_each)
     sources = _sources()[:2]
     _, cold = lint_sources(sources, cache=ResultCache(tmp_path))
-    assert cold.units_executed == 8
-    assert cold.executed_wall_s == 8.0
+    assert cold.units_executed == 2
+    assert cold.executed_wall_s == 2.0
 
     edited = [sources[0], ("halo1d.c", sources[1][1] + "\n")]
     _, warm = lint_sources(edited, cache=ResultCache(tmp_path))
-    assert warm.units_from_cache == 4
-    assert warm.units_executed == 4
-    assert warm.executed_wall_s == 4.0
+    assert warm.units_from_cache == 1
+    assert warm.units_executed == 1
+    assert warm.executed_wall_s == 1.0
 
 
-def _sequential(sources):
+def _sequential(sources, advise=False):
     """The reference lint: ``lint_program`` per parsed file, CI000
     for a file that fails to parse."""
     reports = []
@@ -83,7 +81,7 @@ def _sequential(sources):
             report.diagnostics.append(make("CI000", line, str(exc)))
             reports.append(report)
             continue
-        reports.append(lint_program(program, path=path))
+        reports.append(lint_program(program, path=path, advise=advise))
     return reports
 
 
