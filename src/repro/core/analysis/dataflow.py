@@ -4,18 +4,24 @@ Raising the abstraction level makes the communication *analyzable*
 (Section I): because a directive carries the sender/receiver/when
 expressions explicitly, evaluating them for every rank yields the full
 send/receive edge set — something a compiler cannot generally extract
-from hand-written MPI. This module does that evaluation, validates the
-pattern (every send needs a willing receiver whose ``sender`` clause
-points back), and classifies recurring shapes (the ring/shift/pairwise
+from hand-written MPI. :func:`partners` is the one static evaluation of
+those clauses on one rank: lint's matching check and the verifier's
+rank walk both read it (the program simulator evaluates them at run
+time, as the runtime does). :func:`comm_graph` collects it over a
+world, :func:`validate_matching` checks the pattern (every send needs
+a willing receiver whose ``sender`` clause points back), and
+:func:`classify_pattern` names recurring shapes (the ring/shift/pairwise
 patterns of the paper's references [1][2][3]).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.core import exprs
 from repro.core.ir import ClauseExprs
+from repro.errors import ClauseError
 
 
 @dataclass
@@ -32,19 +38,6 @@ class CommGraph:
     def senders(self) -> set[int]:
         """Ranks with at least one outgoing edge."""
         return {s for s, _ in self.edges}
-
-    @property
-    def receivers(self) -> set[int]:
-        """Ranks whose receivewhen evaluated true."""
-        return set(self.expects)
-
-    def out_degree(self, rank: int) -> int:
-        """Number of messages this rank sends."""
-        return sum(1 for s, _ in self.edges if s == rank)
-
-    def in_degree(self, rank: int) -> int:
-        """Number of messages destined to this rank."""
-        return sum(1 for _, d in self.edges if d == rank)
 
 
 @dataclass(frozen=True)
@@ -68,16 +61,39 @@ class MatchingIssue:
         return f"[{self.kind}] rank {self.rank}{pair}: {self.detail}"
 
 
-def _vars_for(rank: int, nprocs: int,
-              extra: dict | None = None) -> dict:
-    v = {"rank": rank, "nprocs": nprocs, "size": nprocs}
-    if extra:
-        v.update(extra)
-    return v
+def partners(clauses: ClauseExprs, variables: dict[str, Any]
+             ) -> tuple[bool, bool, int, int]:
+    """Evaluate a directive's partner clauses on one rank.
+
+    Returns ``(sends_here, recvs_here, src, dst)``: whether the rank
+    sends and receives at the directive, the rank it receives from and
+    the rank it sends to, with -1 for a half that is switched off. An
+    absent ``sendwhen``/``receivewhen`` is true. The clauses are
+    evaluated in the order ``sendwhen``, ``receivewhen``, ``receiver``,
+    ``sender``, so the first failing one is the one reported. An
+    expression that fails arithmetically, or whose value is no rank
+    (infinity, NaN), raises :class:`ClauseError` naming the clause and
+    the rank; one that is malformed or reads a name ``variables`` does
+    not bind raises :class:`~repro.errors.PragmaSyntaxError`.
+    """
+    e = clauses.exprs
+    name = "sendwhen"
+    try:
+        sends_here = name not in e or bool(exprs.evaluate(e[name], variables))
+        name = "receivewhen"
+        recvs_here = name not in e or bool(exprs.evaluate(e[name], variables))
+        name = "receiver"
+        dst = int(exprs.evaluate(e[name], variables)) if sends_here else -1
+        name = "sender"
+        src = int(exprs.evaluate(e[name], variables)) if recvs_here else -1
+    except (ClauseError, ArithmeticError, ValueError) as exc:
+        raise ClauseError(f"{name} clause on rank "
+                          f"{variables.get('rank')}: {exc}") from exc
+    return sends_here, recvs_here, src, dst
 
 
 def comm_graph(clauses: ClauseExprs, nprocs: int,
-               extra_vars: dict | None = None) -> CommGraph:
+               extra_vars: dict[str, Any] | None = None) -> CommGraph:
     """Evaluate a directive's clauses for every rank.
 
     ``extra_vars`` supplies values for free names beyond
@@ -86,17 +102,13 @@ def comm_graph(clauses: ClauseExprs, nprocs: int,
     clauses.require_complete()
     g = CommGraph(nprocs)
     for rank in range(nprocs):
-        v = _vars_for(rank, nprocs, extra_vars)
-        sendwhen = (bool(exprs.evaluate(clauses.exprs["sendwhen"], v))
-                    if "sendwhen" in clauses.exprs else True)
-        recvwhen = (bool(exprs.evaluate(clauses.exprs["receivewhen"], v))
-                    if "receivewhen" in clauses.exprs else True)
-        if sendwhen:
-            dest = exprs.evaluate(clauses.exprs["receiver"], v)
-            g.edges.append((rank, int(dest)))
-        if recvwhen:
-            src = exprs.evaluate(clauses.exprs["sender"], v)
-            g.expects[rank] = int(src)
+        sends_here, recvs_here, src, dst = partners(clauses, {
+            "rank": rank, "nprocs": nprocs, "size": nprocs,
+            **(extra_vars or {})})
+        if sends_here:
+            g.edges.append((rank, dst))
+        if recvs_here:
+            g.expects[rank] = src
     return g
 
 

@@ -37,7 +37,7 @@ from repro.core.analysis.syncopt import plan_synchronization
 from repro.core.analysis.verify import VerifyReport, verify_all_targets
 from repro.core.clauses import Target
 from repro.core.ir import ClauseExprs, P2PNode, ParamRegionNode, Program
-from repro.errors import ReproError, VerificationError
+from repro.errors import ClauseError, ReproError, VerificationError
 
 #: MatchingIssue.kind -> diagnostic code.
 _MATCH_CODES = {
@@ -318,23 +318,14 @@ def _suppress_shadowed(report: LintReport) -> None:
 
     An ``unsatisfied-receive`` matching warning (CI005) is the
     per-directive shadow of a verifier-proved deadlock (CI002) at the
-    same directive — keep the proof, drop the shadow. Likewise the
-    verifier's own CI010 duplicates :func:`overlap_legal`'s finding.
+    same directive — keep the proof, drop the shadow.
     """
     deadlocked = {d.directive or d.line for d in report.diagnostics
                   if d.code == "CI002"}
-    overlap_lines = {d.line for d in report.diagnostics
-                     if d.code == "CI010" and d.target == "*"}
-    kept: list[Diagnostic] = []
-    for d in report.diagnostics:
-        if (d.code == "CI005" and "unsatisfied-receive" in d.message
-                and d.line in deadlocked):
-            continue
-        if (d.code == "CI010" and d.target not in (None, "*")
-                and d.line in overlap_lines):
-            continue
-        kept.append(d)
-    report.diagnostics[:] = kept
+    report.diagnostics[:] = [
+        d for d in report.diagnostics
+        if not (d.code == "CI005" and "unsatisfied-receive" in d.message
+                and d.line in deadlocked)]
 
 
 def _lint_directive(program: Program, node: P2PNode,
@@ -362,6 +353,10 @@ def _lint_directive(program: Program, node: P2PNode,
             report.diagnostics.append(make(
                 code, node.line, str(issue), directive=node.line,
                 target="*"))
+    except ClauseError as exc:
+        report.diagnostics.append(make(
+            "CI004", node.line, str(exc), directive=node.line,
+            target="*"))
     except ReproError as exc:
         report.diagnostics.append(make(
             "CI032", node.line,

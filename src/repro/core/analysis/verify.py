@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 from repro.core import exprs
 from repro.core.analysis import hb
 from repro.core.analysis.codes import Diagnostic, make
+from repro.core.analysis.dataflow import partners
 from repro.core.analysis.independence import base_identifier
 from repro.core.analysis.races import WalkAccesses, race_diagnostics
 from repro.core.analysis.syncopt import SyncPlan, plan_synchronization
@@ -49,7 +50,7 @@ from repro.core.ir import (
     Program,
     RawCode,
 )
-from repro.errors import ReproError
+from repro.errors import ClauseError, ReproError
 
 #: Sync-plan weakenings shared with the dynamic fuzzer. Each mirrors a
 #: bug a hand-written (or miscompiled) synchronization could have:
@@ -345,27 +346,15 @@ def _live_names(clauses: ClauseExprs, sends_here: bool,
 
 def _resolve(clauses: ClauseExprs, variables: dict[str, int]
              ) -> tuple[bool, bool, int, int] | None:
-    """Evaluate one directive's when/rank clauses on one rank.
-
-    Returns ``(sends_here, recvs_here, source, dest)`` or None when the
-    clauses cannot be evaluated statically (missing clauses, unknown
-    free names). Unused halves evaluate to -1.
-    """
+    """:func:`~repro.core.analysis.dataflow.partners` of one directive
+    on one rank, or None when the clauses cannot be evaluated
+    statically (missing clauses, unknown free names, arithmetic
+    errors)."""
     try:
         clauses.require_complete()
-        sends_here = bool(
-            exprs.evaluate(clauses.exprs["sendwhen"], variables)
-            if "sendwhen" in clauses.exprs else True)
-        recvs_here = bool(
-            exprs.evaluate(clauses.exprs["receivewhen"], variables)
-            if "receivewhen" in clauses.exprs else True)
-        src = (int(exprs.evaluate(clauses.exprs["sender"], variables))
-               if recvs_here else -1)
-        dst = (int(exprs.evaluate(clauses.exprs["receiver"], variables))
-               if sends_here else -1)
+        return partners(clauses, variables)
     except ReproError:
         return None
-    return sends_here, recvs_here, src, dst
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +850,8 @@ def _loop_varying_lines(program: Program) -> frozenset[int]:
 def _unrollable_diagnostics(program: Program, nprocs: int,
                             extra_vars: dict[str, int] | None
                             ) -> list[Diagnostic]:
-    """CI032 for directives whose clauses cannot be evaluated."""
+    """CI032 for directives whose clauses cannot be evaluated, CI004
+    for those whose evaluation fails arithmetically (on rank 0)."""
     out: list[Diagnostic] = []
     probe: dict[str, int] = {"nprocs": nprocs, "size": nprocs,
                              **(extra_vars or {}), "rank": 0}
@@ -869,7 +859,12 @@ def _unrollable_diagnostics(program: Program, nprocs: int,
         if not all(clauses.has(n) for n in
                    ("sender", "receiver", "sbuf", "rbuf")):
             continue  # CI030 is the linter's finding
-        if _resolve(clauses, probe) is None:
+        try:
+            partners(clauses, probe)
+        except ClauseError as exc:
+            out.append(make("CI004", node.line, str(exc),
+                            directive=node.line))
+        except ReproError:
             names: set[str] = set()
             for k in ("sender", "receiver", "sendwhen", "receivewhen",
                       "count"):

@@ -26,7 +26,7 @@ import ast
 import functools
 from typing import Any
 
-from repro.errors import PragmaSyntaxError
+from repro.errors import ClauseError, PragmaSyntaxError
 
 #: AST node types clause expressions may contain.
 _ALLOWED_NODES = (
@@ -119,6 +119,9 @@ def evaluate(expr: str, variables: dict[str, Any]) -> Any:
     0
     >>> evaluate("rank%2==0 && rank>0", {"rank": 2})
     True
+
+    An arithmetic error (division by zero, overflow) raises
+    :class:`~repro.errors.ClauseError` naming the expression.
     """
     entry = _compiled(expr)
     if entry is None or not entry[1] <= variables.keys():
@@ -126,8 +129,12 @@ def evaluate(expr: str, variables: dict[str, Any]) -> Any:
         raise AssertionError("unreachable: the walk above raises")
     # The whitelist admits no store, so ``variables`` can serve as the
     # locals mapping directly: evaluation never writes to it.
-    return eval(entry[0], {"__builtins__": {}},  # noqa: S307 - sandboxed
-                variables)
+    try:
+        return eval(entry[0], {"__builtins__": {}},  # noqa: S307 - sandboxed
+                    variables)
+    except ArithmeticError as exc:
+        raise ClauseError(f"arithmetic error in clause expression "
+                          f"{expr!r}: {exc}") from exc
 
 
 def free_names(expr: str) -> set[str]:

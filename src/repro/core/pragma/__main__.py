@@ -3,24 +3,22 @@
 Usage::
 
     python -m repro.core.pragma INPUT.c [--target mpi2s|mpi1s|shmem]
-                                        [--fortran] [--analyze]
+                                        [--fortran]
 
 Reads C-like source containing ``#pragma comm_parameters`` /
 ``#pragma comm_p2p`` directives and prints the translated source.
-``--analyze`` prints the analyses instead (sync plan, per-directive
-pattern classification and matching validation for an 8-rank world,
-overlap legality).
 
 A second console entry point, ``repro-lint`` (:func:`main_lint`), runs
-the full static verification pass (deadlock, stale-read and
-consolidation proofs — see ``docs/LINT.md``) over one or more files
-and renders text, JSON or SARIF 2.1.0; it exits 1 when any
-error-severity diagnostic is produced (``--fail-on warning`` widens
-the gate to warnings). ``--advise`` additionally runs
-the CI1xx performance advisor, and ``--fix`` / ``--fix-dry-run`` run
-the proof-carrying auto-fix engine (every rewrite must re-verify
-CI0xx-clean on all lowering targets and must not regress the modeled
-time before it is accepted).
+every static analysis over one or more files: the sync plan, each
+directive's pattern, SPMD matching (CI004-006) and overlap legality
+(CI010), and the whole-program verifier (deadlock, stale-read and
+consolidation proofs — see ``docs/LINT.md``). It renders text, JSON
+or SARIF 2.1.0 and exits 1 when any error-severity diagnostic is
+produced (``--fail-on warning`` widens the gate to warnings).
+``--advise`` additionally runs the CI1xx performance advisor, and
+``--fix`` / ``--fix-dry-run`` run the proof-carrying auto-fix engine
+(every rewrite must re-verify CI0xx-clean on all lowering targets and
+must not regress the modeled time before it is accepted).
 """
 
 from __future__ import annotations
@@ -31,15 +29,10 @@ import sys
 
 from repro.core.analysis import (
     FixResult,
-    classify_pattern,
-    comm_graph,
     fix_source,
     lint_program,
-    overlap_legal,
-    plan_synchronization,
     render_json,
     render_sarif,
-    validate_matching,
 )
 from repro.core.analysis.lint import LintReport
 from repro.core.clauses import Target
@@ -55,35 +48,6 @@ _TARGETS = {
 }
 
 
-def _analyze(program, nprocs: int) -> str:
-    lines = []
-    plan = plan_synchronization(program)
-    lines.append(f"directives: {len(program.all_p2p())} comm_p2p in "
-                 f"{len(program.regions())} region(s)")
-    lines.append(f"sync plan: {plan.total_sync_calls} call(s), "
-                 f"{plan.reduction_factor(program):.1f}x fewer than "
-                 "per-instance synchronization")
-    for i, (node, _scope, clauses) in enumerate(program.p2p_clauses()):
-        lines.append(f"-- comm_p2p #{i} (line {node.line})")
-        try:
-            graph = comm_graph(clauses, nprocs)
-            lines.append(f"   pattern ({nprocs} ranks): "
-                         f"{classify_pattern(graph)}; "
-                         f"{len(graph.edges)} edge(s)")
-            issues = validate_matching(graph)
-            if issues:
-                for issue in issues:
-                    lines.append(f"   MATCHING ISSUE: {issue}")
-            else:
-                lines.append("   matching: consistent")
-        except ReproError as exc:
-            lines.append(f"   pattern: not statically evaluable ({exc})")
-        verdict = overlap_legal(node, clauses)
-        lines.append(f"   overlap legal: {verdict.legal} "
-                     f"({verdict.reason})")
-    return "\n".join(lines)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.core.pragma",
@@ -95,11 +59,6 @@ def main(argv: list[str] | None = None) -> int:
                              "own target clause still wins)")
     parser.add_argument("--fortran", action="store_true",
                         help="emit the Fortran skeleton instead of C")
-    parser.add_argument("--analyze", action="store_true",
-                        help="print analyses instead of translated code")
-    parser.add_argument("--nprocs", type=int, default=8,
-                        help="world size for --analyze pattern "
-                             "evaluation (default 8)")
     args = parser.parse_args(argv)
 
     try:
@@ -110,9 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         program = parse_program(source)
-        if args.analyze:
-            print(_analyze(program, args.nprocs))
-        elif args.fortran:
+        if args.fortran:
             print(generate_fortran(program, _TARGETS[args.target]))
         else:
             print(generate_c(program, _TARGETS[args.target]))

@@ -151,15 +151,23 @@ class FuzzFailure:
 def _diff(expected, got) -> str | None:
     """None when bit-identical, else a one-line description.
 
-    Both sides hold only Python floats in lists and dicts (per-rank
-    buffer payloads, or the application's result lists), so ``==`` is
-    an exact bitwise check.
+    Both sides hold per-rank results: buffer payload dicts, the
+    application's result lists, or None for a run that captured
+    nothing. They hold only Python floats, so ``==`` is an exact
+    bitwise check. The description names the first rank that differs
+    and, for payload dicts, the first buffer.
     """
     if expected == got:
         return None
-    for rank, (e, g) in enumerate(zip(expected, got)):
-        if e != g:
-            return f"rank {rank}: expected {e!r}, got {g!r}"
+    for rank, (e, g) in enumerate(zip(expected or (), got or ())):
+        if e == g:
+            continue
+        if isinstance(e, dict) and isinstance(g, dict):
+            for buf in sorted(set(e) | set(g)):
+                if e.get(buf) != g.get(buf):
+                    return (f"rank {rank} buffer {buf!r}: expected "
+                            f"{e.get(buf)!r}, got {g.get(buf)!r}")
+        return f"rank {rank}: expected {e!r}, got {g!r}"
     return f"expected {expected!r}, got {got!r}"
 
 
@@ -235,8 +243,7 @@ def fuzz_program(program, nprocs: int = 8, *, target: str,
             continue
         if tally is not None and outcome.stats is not None:
             _tally_checks(tally, outcome.stats)
-        detail = _diff_payloads(baseline,
-                                mask_payloads(outcome.payloads, ignore))
+        detail = _diff(baseline, mask_payloads(outcome.payloads, ignore))
         if detail is not None:
             failures.append(FuzzFailure(name, target, seed, detail))
     return failures
@@ -255,20 +262,6 @@ def mask_payloads(payloads, ignore):
         {buf: vals for buf, vals in bufs.items()
          if (rank, buf) not in ignore}
         for rank, bufs in enumerate(payloads))
-
-
-def _diff_payloads(expected, got) -> str | None:
-    """None when the per-rank payload dicts are bit-identical."""
-    if expected == got:
-        return None
-    for rank, (e, g) in enumerate(zip(expected or (), got or ())):
-        if e == g:
-            continue
-        for buf in sorted(set(e) | set(g)):
-            if e.get(buf) != g.get(buf):
-                return (f"rank {rank} buffer {buf!r}: expected "
-                        f"{e.get(buf)!r}, got {g.get(buf)!r}")
-    return f"expected {expected!r}, got {got!r}"
 
 
 # -- sync-plan weakenings (shared with the static verifier) ----------------

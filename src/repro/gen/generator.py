@@ -10,19 +10,20 @@ Constraint modes
 
 * ``"clean"`` — every directive is drawn from paired SPMD templates
   (ring shifts, guarded neighbour shifts, xor partners, fixed
-  src->dst transfers) and then *checked*: the generator evaluates the
-  clause expressions for every rank of the chosen world and keeps the
-  directive only when every guarded send has exactly one matching
-  guarded receive and vice versa. Buffers are never shared between
-  directives. A clean program must verify clean and run clean — any
-  finding on either side is oracle evidence.
+  src->dst transfers) that match *by construction*: on every world
+  size every guarded send has exactly one matching guarded receive and
+  vice versa. ``tests/gen/test_generator.py`` proves it for every
+  template, distance and transfer pair at 1-8 ranks through
+  :func:`repro.core.analysis.dataflow.validate_matching`. Buffers are
+  never shared between directives. A clean program must verify clean
+  and run clean — any finding on either side is oracle evidence.
 * ``"racy"`` — a clean program with one deliberately planted defect
   (an overlap-body write into an in-flight receive or send buffer, or
   two concurrent directives delivering into one shared receive
   buffer). The planted kind is recorded on
   :attr:`GeneratedProgram.planted`.
-* ``"unconstrained"`` — the matching check is skipped and rank
-  expressions come from an adversarial grab-bag; programs may
+* ``"unconstrained"`` — half the directives take their rank
+  expressions from an adversarial grab-bag instead; programs may
   deadlock, mismatch or be trivially fine. The oracle only requires
   static and dynamic verdicts to *agree*, not any particular verdict.
 
@@ -39,9 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.core import exprs
 from repro.core.clauses import Target
-from repro.errors import ReproError
 
 __all__ = ["MODES", "GeneratedProgram", "generate", "generate_many"]
 
@@ -58,7 +57,7 @@ _NPROCS_CHOICES = (2, 3, 4, 5, 6)
 _LEN_CHOICES = (4, 6, 8, 12, 16)
 
 #: Directive pattern templates as ``(weight, name)``; the clause
-#: builders live in :func:`_template_clauses`.
+#: builder is :func:`_template`.
 _TEMPLATES = (
     (3, "ring"),
     (2, "ring-rev"),
@@ -67,6 +66,9 @@ _TEMPLATES = (
     (1, "xor"),
     (2, "pair"),
 )
+
+#: Partner distances the ``shift`` and ``xor`` templates draw from.
+_DISTANCES = (1, 2)
 
 #: Program section shapes as ``(weight, name)``.
 _SECTIONS = (
@@ -143,7 +145,7 @@ def generate_many(seeds, mode: str = "mix",
 
 
 # ---------------------------------------------------------------------------
-# Template matching check (the "clean" constraint)
+# Templates
 
 
 @dataclass
@@ -173,46 +175,38 @@ class _Directive:
         return " ".join(parts)
 
 
-def _evaluate(text: str | None, rank: int, nprocs: int):
-    if text is None:
-        return True
-    return exprs.evaluate(text, {"rank": rank, "nprocs": nprocs,
-                                 "size": nprocs})
+def _template(name: str, k: int = 1,
+              pair: tuple[int, int] = (0, 1)) -> _Directive:
+    """The clause text of one template, without buffers.
 
-
-def matches_cleanly(d: _Directive, nprocs: int) -> bool:
-    """True when every guarded send pairs with exactly one guarded
-    receive and vice versa, over all ranks of the world.
-
-    This is the constraint that makes "clean" mean something: the
-    generator evaluates the candidate's clause expressions exactly as
-    each rank would and checks the induced bipartite matching, instead
-    of trusting template algebra to survive wrap-arounds and odd world
-    sizes.
+    ``k`` is the ``shift``/``xor`` partner distance and ``pair`` the
+    ``(src, dst)`` of a fixed ``pair`` transfer; the other templates
+    take neither. Every result matches on every world size.
     """
-    try:
-        senders: dict[int, int] = {}     # dst -> src
-        receivers: dict[int, int] = {}   # dst -> expected src
-        for r in range(nprocs):
-            if _evaluate(d.sendwhen, r, nprocs):
-                dst = _evaluate(d.receiver, r, nprocs)
-                if not isinstance(dst, int) or isinstance(dst, bool):
-                    return False
-                if not 0 <= dst < nprocs or dst in senders:
-                    return False
-                senders[dst] = r
-            if _evaluate(d.receivewhen, r, nprocs):
-                src = _evaluate(d.sender, r, nprocs)
-                if not isinstance(src, int) or isinstance(src, bool):
-                    return False
-                if not 0 <= src < nprocs:
-                    return False
-                receivers[r] = src
-    except (ReproError, TypeError, ValueError, ZeroDivisionError):
-        return False
-    if set(senders) != set(receivers):
-        return False
-    return all(senders[dst] == receivers[dst] for dst in senders)
+    if name == "ring":
+        return _Directive(sender="(rank-1+nprocs)%nprocs",
+                          receiver="(rank+1)%nprocs")
+    if name == "ring-rev":
+        return _Directive(sender="(rank+1)%nprocs",
+                          receiver="(rank-1+nprocs)%nprocs")
+    if name == "shift":
+        return _Directive(sender=f"rank-{k}", receiver=f"rank+{k}",
+                          sendwhen=f"rank+{k}<nprocs",
+                          receivewhen=f"rank>={k}")
+    if name == "evenodd":
+        return _Directive(sender="rank-1", receiver="rank+1",
+                          sendwhen="rank%2==0 && rank+1<nprocs",
+                          receivewhen="rank%2==1")
+    if name == "xor":
+        return _Directive(sender=f"rank^{k}", receiver=f"rank^{k}",
+                          sendwhen=f"(rank^{k})<nprocs",
+                          receivewhen=f"(rank^{k})<nprocs")
+    if name == "pair":
+        src, dst = pair
+        return _Directive(sender=str(src), receiver=str(dst),
+                          sendwhen=f"rank=={src}",
+                          receivewhen=f"rank=={dst}")
+    raise ValueError(name)  # pragma: no cover - template table is closed
 
 
 # ---------------------------------------------------------------------------
@@ -254,56 +248,20 @@ class _Builder:
     # -- directives --------------------------------------------------------
 
     def directive(self, forced_target: Target | None) -> _Directive:
-        """One candidate directive honouring the constraint mode."""
-        for _attempt in range(8):
-            d = self._candidate(forced_target)
-            if self.mode == "unconstrained":
-                return d
-            if matches_cleanly(d, self.nprocs):
-                return d
-        # Template algebra failed for this world (e.g. xor partners on
-        # an odd nprocs); the ring always matches.
-        return self._from_template("ring", forced_target)
-
-    def _candidate(self, forced_target: Target | None) -> _Directive:
+        """One directive honouring the constraint mode."""
         if self.mode == "unconstrained" and self.rng.random() < 0.5:
             return self._wild(forced_target)
-        name = _weighted(self.rng, _TEMPLATES)
-        return self._from_template(name, forced_target)
-
-    def _from_template(self, name: str,
-                       forced_target: Target | None) -> _Directive:
         rng, n = self.rng, self.nprocs
-        if name == "ring":
-            d = _Directive(sender="(rank-1+nprocs)%nprocs",
-                           receiver="(rank+1)%nprocs")
-        elif name == "ring-rev":
-            d = _Directive(sender="(rank+1)%nprocs",
-                           receiver="(rank-1+nprocs)%nprocs")
-        elif name == "shift":
-            k = rng.choice((1, 2))
-            d = _Directive(sender=f"rank-{k}", receiver=f"rank+{k}",
-                           sendwhen=f"rank+{k}<nprocs",
-                           receivewhen=f"rank>={k}")
-        elif name == "evenodd":
-            d = _Directive(sender="rank-1", receiver="rank+1",
-                           sendwhen="rank%2==0 && rank+1<nprocs",
-                           receivewhen="rank%2==1")
-        elif name == "xor":
-            k = rng.choice((1, 2))
-            d = _Directive(sender=f"rank^{k}", receiver=f"rank^{k}",
-                           sendwhen=f"(rank^{k})<nprocs",
-                           receivewhen=f"(rank^{k})<nprocs")
-        elif name == "pair":
+        name = _weighted(rng, _TEMPLATES)
+        k = rng.choice(_DISTANCES) if name in ("shift", "xor") else 1
+        pair = (0, 1)
+        if name == "pair":
             src = rng.randrange(n)
             dst = rng.randrange(n)
             if dst == src:
                 dst = (src + 1) % n
-            d = _Directive(sender=str(src), receiver=str(dst),
-                           sendwhen=f"rank=={src}",
-                           receivewhen=f"rank=={dst}")
-        else:  # pragma: no cover - template table is closed
-            raise ValueError(name)
+            pair = (src, dst)
+        d = _template(name, k, pair)
         self._decorate(d, forced_target)
         return d
 

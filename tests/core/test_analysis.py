@@ -15,6 +15,7 @@ from repro.core.analysis import (
     plan_synchronization,
     validate_matching,
 )
+from repro.core.analysis.dataflow import partners
 from repro.core.analysis.independence import (
     base_identifier,
     independent_groups,
@@ -296,6 +297,26 @@ class TestDataflow:
     def test_incomplete_clauses_rejected(self):
         with pytest.raises(ClauseError):
             comm_graph(ClauseExprs(exprs={"sender": "0"}), nprocs=2)
+
+    def test_partners_one_rank(self):
+        cl = ClauseExprs(
+            exprs={"sender": "rank-1", "receiver": "rank+1",
+                   "sendwhen": "rank%2==0", "receivewhen": "rank%2==1"},
+            sbuf=["b1"], rbuf=["b2"])
+        v = {"nprocs": 4, "size": 4}
+        assert partners(cl, {**v, "rank": 2}) == (True, False, -1, 3)
+        assert partners(cl, {**v, "rank": 3}) == (False, True, 2, -1)
+
+    @pytest.mark.parametrize("receiver,rank", [
+        ("1%(rank-2)", 2),    # modulo by zero on rank 2
+        ("1e308*10", 0),      # infinity is no rank
+    ])
+    def test_partners_error_names_clause_and_rank(self, receiver, rank):
+        cl = ClauseExprs(exprs={"sender": "0", "receiver": receiver},
+                         sbuf=["b1"], rbuf=["b2"])
+        with pytest.raises(ClauseError,
+                           match=rf"^receiver clause on rank {rank}: "):
+            comm_graph(cl, nprocs=4)
 
 
 class TestOverlap:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core import exprs
 from repro.core.exprs import c_to_python, evaluate, free_names
-from repro.errors import PragmaSyntaxError
+from repro.errors import ClauseError, PragmaSyntaxError
 
 
 class TestCToPython:
@@ -54,6 +54,13 @@ class TestEvaluate:
     def test_syntax_error_reported(self):
         with pytest.raises(PragmaSyntaxError, match="cannot parse"):
             evaluate("rank +", {"rank": 0})
+
+    @pytest.mark.parametrize("expr", ["rank%(nprocs-nprocs)",
+                                      "rank/0", "2.0**100000"])
+    def test_arithmetic_error_is_clause_error(self, expr):
+        with pytest.raises(ClauseError, match="arithmetic error") as info:
+            evaluate(expr, {"rank": 1, "nprocs": 4})
+        assert repr(expr) in str(info.value)
 
     @given(st.integers(min_value=0, max_value=63),
            st.integers(min_value=1, max_value=64))

@@ -17,6 +17,7 @@ from repro.errors import ClauseError, SimProcessError, VerificationError
 
 MAX_COMM_ITER_OVERFLOW = (Path(__file__).resolve().parents[2] / "examples"
                           / "pragmas" / "bad" / "max_comm_iter_overflow.c")
+CLAUSE_ARITH_ERROR = MAX_COMM_ITER_OVERFLOW.with_name("clause_arith_error.c")
 
 CLEAN = """
 double a[16]; double b[16]; double c[16]; double d[16];
@@ -169,6 +170,24 @@ class TestDiagnosticCodes:
                               targets=[target])
         assert report.errors == []
         simulate_program(parse_program(source), 4, target=target)
+
+    @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.name)
+    def test_clause_arith_error_is_ci004_and_raises(self, target):
+        """A sender expression that divides by zero on every rank: lint
+        reports CI004 naming the clause and the rank (not CI032, and
+        no traceback), and the runtime raises ClauseError naming the
+        expression."""
+        source = CLAUSE_ARITH_ERROR.read_text(encoding="utf-8")
+        report = lint_program(parse_program(source), nprocs=4,
+                              targets=[target])
+        assert [d.code for d in report.diagnostics] == ["CI004"]
+        message = report.errors[0].message
+        assert message.startswith("sender clause on rank 0: ")
+        assert "'(rank-1)%(nprocs-nprocs)'" in message
+        with pytest.raises(SimProcessError) as info:
+            simulate_program(parse_program(source), 4, target=target)
+        assert isinstance(info.value.original, ClauseError)
+        assert "(rank-1)%(nprocs-nprocs)" in str(info.value.original)
 
     def test_require_clean_raises_with_listing(self):
         report = lint_program(parse_program(CYCLE), nprocs=4)

@@ -45,14 +45,6 @@ def test_translate_fortran(ring_file, capsys):
     assert "end subroutine" in out
 
 
-def test_analyze(ring_file, capsys):
-    assert main([ring_file, "--analyze", "--nprocs", "6"]) == 0
-    out = capsys.readouterr().out
-    assert "pattern (6 ranks): ring" in out
-    assert "matching: consistent" in out
-    assert "overlap legal: True" in out
-
-
 def test_missing_file(capsys):
     assert main(["/nonexistent/path.c"]) == 2
     assert "error" in capsys.readouterr().err
@@ -65,20 +57,35 @@ def test_translation_error_reported(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
-def test_analyze_flags_bad_matching(tmp_path, capsys):
+def test_translator_has_no_analysis_mode(ring_file):
+    """The pattern, matching and overlap analyses live in repro-lint."""
+    for args in (["--analyze"], ["--nprocs", "4"]):
+        with pytest.raises(SystemExit):
+            main([ring_file, *args])
+
+
+# ---------------------------------------------------------------------------
+# repro-lint
+
+
+def test_lint_reports_ring_pattern(ring_file, capsys):
+    assert main_lint([ring_file, "--nprocs", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "pattern = ring" in out
+    for code in ("CI004", "CI005", "CI006", "CI010"):
+        assert code not in out   # matching consistent, overlap legal
+
+
+def test_lint_flags_bad_matching(tmp_path, capsys):
     f = tmp_path / "bad.c"
     f.write_text("""\
 double a[4];
 double b[4];
 #pragma comm_p2p sender(0) receiver(rank+1) sendwhen(rank==0) receivewhen(rank==2) sbuf(a) rbuf(b)
 """)
-    assert main([str(f), "--analyze", "--nprocs", "4"]) == 0
+    assert main_lint([str(f), "--nprocs", "4"]) == 1
     out = capsys.readouterr().out
-    assert "MATCHING ISSUE" in out
-
-
-# ---------------------------------------------------------------------------
-# repro-lint
+    assert "[CI005]" in out and "unreceived-send" in out
 
 DEADLOCK = """\
 double x[8];

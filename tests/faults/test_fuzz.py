@@ -12,6 +12,7 @@ from repro.faults import CASE_NAMES, FUZZ_TARGETS, FaultPlan, fuzz, fuzz_one
 from repro.faults.fuzz import (
     CASES,
     STATIC_TWINS,
+    _diff,
     static_twin_program,
     weaken_pending_sync,
 )
@@ -65,6 +66,23 @@ class TestWeakenedSyncIsCaught:
         failure = fuzz_one("ring", "TARGET_COMM_MPI_2SIDE", 0)
         assert "rank" in failure.detail
         assert "expected" in failure.detail and "got" in failure.detail
+        # Pattern payloads are per-rank buffer dicts: the failure names
+        # the buffer that diverged, not just the rank.
+        assert " buffer '" in failure.detail
+
+
+def test_diff_names_rank_and_buffer():
+    """The one payload comparator: per-rank dicts name the buffer,
+    lists name the rank, and a run that captured nothing compares."""
+    assert _diff(None, None) is None
+    assert _diff([{"a": [1.0]}], [{"a": [1.0]}]) is None
+    assert _diff([{"a": [1.0], "b": [2.0]}],
+                 [{"a": [1.0], "b": [3.0]}]) == (
+        "rank 0 buffer 'b': expected [2.0], got [3.0]")
+    assert _diff([[1.0], [2.0]], [[1.0], [4.0]]) == (
+        "rank 1: expected [2.0], got [4.0]")
+    assert _diff(None, [{"a": [1.0]}]) == (
+        "expected None, got [{'a': [1.0]}]")
 
 
 #: The (pattern, target, weakening) cells the seed-0 fuzz run does not
