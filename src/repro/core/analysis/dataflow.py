@@ -5,11 +5,11 @@ Raising the abstraction level makes the communication *analyzable*
 expressions explicitly, evaluating them for every rank yields the full
 send/receive edge set — something a compiler cannot generally extract
 from hand-written MPI. :func:`partners` is the one static evaluation of
-those clauses on one rank: lint's matching check and the verifier's
-rank walk both read it (the program simulator evaluates them at run
-time, as the runtime does). :func:`comm_graph` collects it over a
-world, :func:`validate_matching` checks the pattern (every send needs
-a willing receiver whose ``sender`` clause points back), and
+those clauses on one rank; the verifier's rank walk calls it and lint
+reads the results (the program simulator evaluates them at run time,
+as the runtime does). :func:`graph_of` collects them over a world,
+:func:`validate_matching` checks the pattern (every send needs a
+willing receiver whose ``sender`` clause points back), and
 :func:`classify_pattern` names recurring shapes (the ring/shift/pairwise
 patterns of the paper's references [1][2][3]).
 """
@@ -71,10 +71,11 @@ def partners(clauses: ClauseExprs, variables: dict[str, Any]
     absent ``sendwhen``/``receivewhen`` is true. The clauses are
     evaluated in the order ``sendwhen``, ``receivewhen``, ``receiver``,
     ``sender``, so the first failing one is the one reported. An
-    expression that fails arithmetically, or whose value is no rank
-    (infinity, NaN), raises :class:`ClauseError` naming the clause and
-    the rank; one that is malformed or reads a name ``variables`` does
-    not bind raises :class:`~repro.errors.PragmaSyntaxError`.
+    expression that fails arithmetically, or whose value is no integer
+    rank (a float such as ``3.0`` or infinity, or a bool), raises
+    :class:`ClauseError` naming the clause and the rank; one that is
+    malformed or reads a name ``variables`` does not bind raises
+    :class:`~repro.errors.PragmaSyntaxError`.
     """
     e = clauses.exprs
     name = "sendwhen"
@@ -83,13 +84,37 @@ def partners(clauses: ClauseExprs, variables: dict[str, Any]
         name = "receivewhen"
         recvs_here = name not in e or bool(exprs.evaluate(e[name], variables))
         name = "receiver"
-        dst = int(exprs.evaluate(e[name], variables)) if sends_here else -1
+        dst = _rank_of(e[name], variables) if sends_here else -1
         name = "sender"
-        src = int(exprs.evaluate(e[name], variables)) if recvs_here else -1
+        src = _rank_of(e[name], variables) if recvs_here else -1
     except (ClauseError, ArithmeticError, ValueError) as exc:
         raise ClauseError(f"{name} clause on rank "
                           f"{variables.get('rank')}: {exc}") from exc
     return sends_here, recvs_here, src, dst
+
+
+def _rank_of(expr: str, variables: dict[str, Any]) -> int:
+    """``expr`` as a rank: an int, not a bool (the simulator's rule)."""
+    value = exprs.evaluate(expr, variables)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expression {expr!r} does not evaluate to an "
+                         f"integer rank (got {value!r})")
+    return value
+
+
+def graph_of(nprocs: int,
+             rows: list[tuple[bool, bool, int, int]]) -> CommGraph:
+    """The pattern of one directive from its :func:`partners` result on
+    each rank, in rank order."""
+    if len(rows) != nprocs:
+        raise ValueError(f"expected {nprocs} rank rows, got {len(rows)}")
+    g = CommGraph(nprocs)
+    for rank, (sends_here, recvs_here, src, dst) in enumerate(rows):
+        if sends_here:
+            g.edges.append((rank, dst))
+        if recvs_here:
+            g.expects[rank] = src
+    return g
 
 
 def comm_graph(clauses: ClauseExprs, nprocs: int,
@@ -100,16 +125,9 @@ def comm_graph(clauses: ClauseExprs, nprocs: int,
     ``rank``/``nprocs`` (e.g. loop bounds) — same bindings on all ranks.
     """
     clauses.require_complete()
-    g = CommGraph(nprocs)
-    for rank in range(nprocs):
-        sends_here, recvs_here, src, dst = partners(clauses, {
-            "rank": rank, "nprocs": nprocs, "size": nprocs,
-            **(extra_vars or {})})
-        if sends_here:
-            g.edges.append((rank, dst))
-        if recvs_here:
-            g.expects[rank] = src
-    return g
+    return graph_of(nprocs, [partners(clauses, {
+        "rank": rank, "nprocs": nprocs, "size": nprocs,
+        **(extra_vars or {})}) for rank in range(nprocs)])
 
 
 def validate_matching(graph: CommGraph) -> list[MatchingIssue]:

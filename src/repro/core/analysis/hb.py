@@ -186,10 +186,10 @@ def vector_clocks(graph: HBGraph) -> dict[Event, list[int]]:
 # Content-hash keyed unroll cache
 #
 # The symbolic walk — the per-rank tracers — is pure in (source text,
-# nprocs, extra_vars, weakening, sync-plan shape); no lowering target
+# node lines, nprocs, extra_vars, weakening); no lowering target
 # participates. A directive states its communication once, and the
-# target only decides how each handle lowers, so the verifier walks each
-# program once and labels the handles per target afterwards (cheap:
+# target only decides how each handle lowers, so the verifier walks
+# each program once and labels the handles per target afterwards (cheap:
 # a handle copy, the matching and the graph). The verify, race and
 # batch-lint passes of every target share one walk, and batch linting
 # thousands of generated programs (repro.gen) re-verifies identical
@@ -203,12 +203,16 @@ class CachedUnroll:
     """One memoized target-independent walk.
 
     ``tracers`` are the per-rank tracers, whose handles carry only
-    their directive's own ``target`` clause; ``accesses`` holds the
-    race pass's target-independent byte intervals and raw-code writes,
-    filled on first use and shared by every target.
+    their directive's own ``target`` clause; ``comm_graphs`` and
+    ``clause_failures`` are each directive's evaluated pattern and the
+    CI004/CI032 of those whose partner clauses fail on some rank;
+    ``accesses`` holds the race pass's target-independent byte intervals
+    and raw-code writes, filled on first use and shared by every target.
     """
 
     tracers: list[Any]
+    comm_graphs: list[Any] = field(default_factory=list)
+    clause_failures: list[Any] = field(default_factory=list)
     accesses: "WalkAccesses | None" = None
 
 
@@ -253,30 +257,28 @@ class GraphCache:
                 "misses": self.misses}
 
 
-#: The process-wide walk cache the verifier consults (pass
-#: ``cache=False`` to :func:`repro.core.analysis.verify.verify_program`
-#: or ``verify_all_targets`` to bypass).
+#: The process-wide walk cache every verifier call consults
+#: (:meth:`GraphCache.clear` empties it, so the next call walks afresh).
 GRAPH_CACHE = GraphCache()
 
 
-def unroll_key(source: str, nprocs: int,
+def unroll_key(source: str, lines: tuple[int, ...], nprocs: int,
                extra_vars: dict[str, int] | None,
-               weakening: str | None,
-               plan_fingerprint: tuple[tuple[int, str], ...]) -> str:
+               weakening: str | None) -> str:
     """Content hash identifying one target-independent walk.
 
     Everything the walk is a pure function of participates: the
     printed source (the parse/print fixpoint makes it canonical), the
-    world size, extra variable bindings, the applied weakening, and the
-    sync-plan shape (line/position pairs — a caller-mutated plan
-    changes the fingerprint). The lowering target does not: one walk
-    serves every target.
+    source line of every node (which the walk's events and findings
+    carry), the world size, extra variable bindings and the applied
+    weakening. The walk synchronizes where the source's regions do, so
+    no sync plan participates; neither does the lowering target: one
+    walk serves every target.
     """
     h = hashlib.sha256()
     h.update(source.encode())
-    h.update(repr((nprocs, weakening,
-                   tuple(sorted((extra_vars or {}).items())),
-                   plan_fingerprint)).encode())
+    h.update(repr((lines, nprocs, weakening,
+                   tuple(sorted((extra_vars or {}).items())))).encode())
     return h.hexdigest()
 
 

@@ -27,8 +27,8 @@ from typing import Any
 from repro.core import exprs
 from repro.core.analysis.codes import RULES, Diagnostic, help_uri, make
 from repro.core.analysis.dataflow import (
+    CommGraph,
     classify_pattern,
-    comm_graph,
     validate_matching,
 )
 from repro.core.analysis.infer import infer_count_static
@@ -37,7 +37,7 @@ from repro.core.analysis.syncopt import plan_synchronization
 from repro.core.analysis.verify import VerifyReport, verify_all_targets
 from repro.core.clauses import Target
 from repro.core.ir import ClauseExprs, P2PNode, ParamRegionNode, Program
-from repro.errors import ClauseError, ReproError, VerificationError
+from repro.errors import ReproError, VerificationError
 
 #: MatchingIssue.kind -> diagnostic code.
 _MATCH_CODES = {
@@ -208,19 +208,20 @@ def lint_program(program: Program, nprocs: int = 8,
     The one composition of the lint passes; the lint service
     (:mod:`repro.lintserve`) runs it once per file and caches the
     finished report. One sync plan gives the headline numbers and the
-    CI021 forced-split findings and feeds the verifier. The
-    per-directive checks (clause completeness, count inference,
-    pattern classification, SPMD matching, overlap legality) and the
-    ``max_comm_iter`` check are target-independent. One
+    CI021 forced-split findings. One
     :func:`~repro.core.analysis.verify.verify_all_targets` sweep (one
     rank walk, one printed source, one walk key) proves each lowering
     target; findings identical on every swept target are collapsed to
-    one diagnostic with ``target="*"``. ``targets`` restricts the
-    sweep (default: all three). ``advise=True`` additionally runs the
-    performance advisor (:mod:`repro.core.analysis.advisor`), whose
-    CI1xx warnings carry a net-model estimated saving for the first
-    swept target under ``model`` (default: the calibrated Gemini
-    model). Shadowed findings are dropped and the rest sorted.
+    one diagnostic with ``target="*"``. The per-directive checks
+    (clause completeness, count inference, pattern classification and
+    SPMD matching on the walk's communication graphs, overlap legality)
+    and the ``max_comm_iter`` check are target-independent. ``targets``
+    restricts the sweep (default: all three). ``advise=True``
+    additionally runs the performance advisor
+    (:mod:`repro.core.analysis.advisor`), whose CI1xx warnings carry a
+    net-model estimated saving for the first swept target under
+    ``model`` (default: the calibrated Gemini model). Shadowed findings
+    are dropped and the rest sorted.
     """
     swept = list(targets) if targets else list(Target)
     report = LintReport(path=path, targets=[t.value for t in swept])
@@ -237,20 +238,19 @@ def lint_program(program: Program, nprocs: int = 8,
             "synchronization cannot fully consolidate",
             target="*"))
 
+    verdicts = verify_all_targets(program, nprocs=nprocs,
+                                  extra_vars=extra_vars, targets=swept)
     scopes: dict[int, ParamRegionNode] = {}
     held: Counter[int] = Counter()
-    for node, scope, clauses in program.p2p_clauses():
-        _lint_directive(program, node, clauses, nprocs, extra_vars,
-                        report)
+    for (node, scope, clauses), graph in zip(
+            program.p2p_clauses(), verdicts[swept[0]].comm_graphs,
+            strict=True):
+        _lint_directive(program, node, clauses, graph, report)
         if scope is not None:
             scopes[id(scope)] = scope
             held[id(scope)] += 1
     for key, region in scopes.items():
         _lint_max_comm_iter(region, held[key], nprocs, extra_vars, report)
-
-    verdicts = verify_all_targets(program, nprocs=nprocs,
-                                  extra_vars=extra_vars, plan=plan,
-                                  targets=swept)
     report.diagnostics.extend(_collapse_across_targets(verdicts, swept))
     if advise:
         from repro.core.analysis.advisor import advise_program
@@ -329,8 +329,7 @@ def _suppress_shadowed(report: LintReport) -> None:
 
 
 def _lint_directive(program: Program, node: P2PNode,
-                    clauses: ClauseExprs, nprocs: int,
-                    extra_vars: dict[str, int] | None,
+                    clauses: ClauseExprs, graph: CommGraph | None,
                     report: LintReport) -> None:
     try:
         clauses.require_complete()
@@ -345,23 +344,13 @@ def _lint_directive(program: Program, node: P2PNode,
         report.diagnostics.append(make(
             "CI031", node.line, str(exc), directive=node.line,
             target="*"))
-    try:
-        graph = comm_graph(clauses, nprocs, extra_vars)
+    if graph is not None:  # else the verifier's CI004/CI032
         report.patterns[node.line] = classify_pattern(graph)
         for issue in validate_matching(graph):
             code = _MATCH_CODES.get(issue.kind, "CI006")
             report.diagnostics.append(make(
                 code, node.line, str(issue), directive=node.line,
                 target="*"))
-    except ClauseError as exc:
-        report.diagnostics.append(make(
-            "CI004", node.line, str(exc), directive=node.line,
-            target="*"))
-    except ReproError as exc:
-        report.diagnostics.append(make(
-            "CI032", node.line,
-            f"pattern not statically evaluable: {exc}",
-            directive=node.line, target="*"))
     verdict = overlap_legal(node, clauses)
     if not verdict.legal:
         report.diagnostics.append(make(

@@ -3,10 +3,10 @@
 The paper's Section I claim is that directives make communication
 *analyzable*. This module is the strongest form of that claim the
 repository implements: a per-rank symbolic executor that unrolls each
-directive for a concrete ``nprocs``, replays the synchronization plan
-(:func:`repro.core.analysis.syncopt.plan_synchronization`) the way the
-runtime region machinery would, and proves or refutes three properties
-over the resulting happens-before graph (:mod:`repro.core.analysis.hb`):
+directive for a concrete ``nprocs``, synchronizes where the runtime
+region machinery (:class:`repro.core.region.RegionState`) would, and
+proves or refutes three properties over the resulting happens-before
+graph (:mod:`repro.core.analysis.hb`):
 
 1. **deadlock freedom** — no cross-rank wait-for cycle, no wait on a
    message that is never sent, no one-sided put without a reachable
@@ -20,10 +20,14 @@ over the resulting happens-before graph (:mod:`repro.core.analysis.hb`):
    the plan with an extra split instead of miscompiling (``CI020``).
 
 The executor is deliberately the static twin of
-:mod:`repro.core.region`: posts accumulate into a pending set, plan
-points flush it, an instance whose buffers alias pending communication
-forces the pending synchronization first. The same three *weakenings*
-the dynamic sync-plan fuzzer applies to ``PendingComm.sync`` at run
+:mod:`repro.core.region`: posts accumulate into a pending set, region
+ends flush it as their ``place_sync`` placement says, an instance whose
+buffers alias pending communication forces the pending synchronization
+first. It is the one place the static side evaluates each rank's
+partner clauses (:func:`repro.core.analysis.dataflow.partners`); lint
+reads the communication graphs it builds from them
+(:attr:`VerifyReport.comm_graphs`). The same three *weakenings* the
+dynamic sync-plan fuzzer applies to ``PendingComm.sync`` at run
 time (:data:`WEAKENINGS`) can be applied here symbolically, which is
 what lets ``tests/faults/test_fuzz.py`` cross-check that every plan the
 fuzzer catches dynamically is also refuted statically.
@@ -37,10 +41,9 @@ from dataclasses import dataclass, field, replace
 from repro.core import exprs
 from repro.core.analysis import hb
 from repro.core.analysis.codes import Diagnostic, make
-from repro.core.analysis.dataflow import partners
+from repro.core.analysis.dataflow import CommGraph, graph_of, partners
 from repro.core.analysis.independence import base_identifier
 from repro.core.analysis.races import WalkAccesses, race_diagnostics
-from repro.core.analysis.syncopt import SyncPlan, plan_synchronization
 from repro.core.clauses import SyncPlacement, Target
 from repro.core.ir import (
     ClauseExprs,
@@ -79,6 +82,10 @@ _ASSIGN = re.compile(
 
 _TWO_SIDED = Target.MPI_2SIDE
 
+#: One rank's evaluation of one directive's partner clauses:
+#: ``(sends_here, recvs_here, src, dst)`` or the finding it failed with.
+_PartnerRow = tuple[bool, bool, int, int] | Diagnostic
+
 
 @dataclass
 class VerifyReport:
@@ -94,6 +101,9 @@ class VerifyReport:
     #: passes (the CI04x race analysis) and tests; None when nothing
     #: was unrolled.
     tracers: "list[_RankView] | None" = None
+    #: Each directive's pattern, in :meth:`Program.p2p_clauses` order;
+    #: None when a clause is missing (CI030) or fails on a rank (CI004).
+    comm_graphs: list[CommGraph | None] = field(default_factory=list)
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -128,28 +138,33 @@ class _RankTracer:
     weakening. The walk is target-independent: each handle records only
     its directive's effective ``target`` clause (None = the default),
     and :func:`_label` resolves it per lowering target. ``scope`` maps
-    ``id(node)`` to the ``id`` of the directive's scope region (None when
-    standalone) and its effective clauses
-    (:meth:`repro.core.ir.Program.p2p_clauses`); the ids keep a cached
-    walk from holding the program's IR.
+    ``id(node)`` to the directive's position in
+    :meth:`repro.core.ir.Program.p2p_clauses`, the ``id`` of its scope
+    region (None when standalone) and its effective clauses; the ids
+    keep a cached walk from holding the program's IR. The tracer appends
+    its :data:`_PartnerRow` for each directive to ``partner_rows`` at
+    that position; the ranks run in order, so each list is in rank
+    order.
     """
 
     def __init__(self, rank: int, nprocs: int, variables: dict[str, int],
-                 scope: dict[int, tuple[int | None, ClauseExprs]],
+                 scope: dict[int, tuple[int, int | None, ClauseExprs]],
                  rbuf_names: frozenset[str],
                  weakening: str | None,
-                 buffer_names: frozenset[str] = frozenset()) -> None:
+                 buffer_names: frozenset[str],
+                 partner_rows: list[list[_PartnerRow]]) -> None:
         self.rank = rank
         self.nprocs = nprocs
         self.variables = variables
         self.scope = scope
         self.rbuf_names = rbuf_names
-        self.buffer_names = buffer_names or rbuf_names
+        self.buffer_names = buffer_names
         self.weakening = weakening
         self.trace: list[hb.Event] = []
         self.handles: list[hb.Handle] = []
         self.pending: list[hb.Handle] = []
         self.downgrades: list[_Downgrade] = []
+        self.partner_rows = partner_rows
         #: The placement policy deferring the current carry, mirroring
         #: :class:`repro.core.region.RegionState.carry_mode`.
         self.carry_mode: SyncPlacement | None = None
@@ -254,8 +269,8 @@ class _RankTracer:
             self._event(hb.USE, node.line, names=reads, writes=writes)
 
     def _directive(self, node: P2PNode) -> None:
-        region_key, clauses = self.scope[id(node)]
-        resolved = _resolve(clauses, self.variables)
+        position, region_key, clauses = self.scope[id(node)]
+        resolved = self._partners(node, position, clauses)
         target = (clauses.target.value if clauses.target is not None
                   else None)
         standalone = region_key is None
@@ -316,6 +331,27 @@ class _RankTracer:
             self._emit_sync(node.line)
             self.pending = saved
 
+    def _partners(self, node: P2PNode, position: int,
+                  clauses: ClauseExprs) -> tuple[bool, bool, int, int] | None:
+        """:func:`~repro.core.analysis.dataflow.partners` on this rank,
+        recorded in ``partner_rows``; None (nothing is posted) when
+        a required clause is missing (CI030) or evaluation fails."""
+        try:
+            clauses.require_complete()
+        except ClauseError:
+            return None
+        row: _PartnerRow
+        try:
+            row = partners(clauses, self.variables)
+        except ClauseError as exc:
+            row = make("CI004", node.line, str(exc), directive=node.line)
+        except ReproError as exc:
+            row = make("CI032", node.line,
+                       f"pattern not statically evaluable: {exc}",
+                       directive=node.line)
+        self.partner_rows[position].append(row)
+        return None if isinstance(row, Diagnostic) else row
+
     def _post(self, kind: str, node: P2PNode, peer: int,
               names: frozenset[str], target: str | None,
               region_key: int | None,
@@ -342,19 +378,6 @@ def _live_names(clauses: ClauseExprs, sends_here: bool,
     if recvs_here:
         names.update(base_identifier(e) for e in clauses.rbuf)
     return frozenset(names)
-
-
-def _resolve(clauses: ClauseExprs, variables: dict[str, int]
-             ) -> tuple[bool, bool, int, int] | None:
-    """:func:`~repro.core.analysis.dataflow.partners` of one directive
-    on one rank, or None when the clauses cannot be evaluated
-    statically (missing clauses, unknown free names, arithmetic
-    errors)."""
-    try:
-        clauses.require_complete()
-        return partners(clauses, variables)
-    except ReproError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -631,49 +654,58 @@ def _plural(items: list[int] | list[str]) -> str:
 # Entry point
 
 
-def _plan_fingerprint(plan: SyncPlan) -> tuple[tuple[int, str], ...]:
-    """Cache-key shape of a sync plan: its (line, position) points."""
-    return tuple(sorted((p.node.line, p.position) for p in plan.points))
-
-
-def _walk(program: Program, nprocs: int,
-          extra_vars: dict[str, int] | None,
-          weakening: str | None) -> hb.CachedUnroll:
+def _shared_walk(program: Program, nprocs: int,
+                 extra_vars: dict[str, int] | None,
+                 weakening: str | None) -> hb.CachedUnroll:
     """Symbolically execute the program on every rank, once for every
-    lowering target."""
-    scope = {id(node): (None if region is None else id(region), clauses)
-             for node, region, clauses in program.p2p_clauses()}
+    lowering target; the walk of (program, nprocs, extra_vars,
+    weakening) is memoized in :data:`repro.core.analysis.hb.GRAPH_CACHE`.
+    """
+    key = hb.unroll_key(program.to_source(), _node_lines(program.nodes),
+                        nprocs, extra_vars, weakening)
+    walk = hb.GRAPH_CACHE.get(key)
+    if walk is not None:
+        return walk
+    scope = {id(node): (position, None if region is None else id(region),
+                        clauses)
+             for position, (node, region, clauses)
+             in enumerate(program.p2p_clauses())}
     rbuf_names = frozenset(
-        base_identifier(e) for _, clauses in scope.values()
+        base_identifier(e) for _, _, clauses in scope.values()
         for e in clauses.rbuf)
     buffer_names = frozenset(program.decls) | rbuf_names | frozenset(
-        base_identifier(e) for _, clauses in scope.values()
+        base_identifier(e) for _, _, clauses in scope.values()
         for e in clauses.sbuf)
     tracers: list[_RankTracer] = []
+    partner_rows: list[list[_PartnerRow]] = [[] for _ in scope]
     for rank in range(nprocs):
         variables = {"nprocs": nprocs, "size": nprocs,
                      **(extra_vars or {}), "rank": rank}
-        tracer = _RankTracer(rank, nprocs, variables, scope,
-                             rbuf_names, weakening, buffer_names)
+        tracer = _RankTracer(rank, nprocs, variables, scope, rbuf_names,
+                             weakening, buffer_names, partner_rows)
         tracer.run(program.nodes)
         tracers.append(tracer)
-    return hb.CachedUnroll(tracers=tracers)
-
-
-def _shared_walk(program: Program, nprocs: int,
-                 extra_vars: dict[str, int] | None, plan: SyncPlan,
-                 weakening: str | None, cache: bool) -> hb.CachedUnroll:
-    """The walk of (program, nprocs, extra_vars, weakening, plan),
-    from :data:`repro.core.analysis.hb.GRAPH_CACHE` when ``cache``."""
-    if not cache:
-        return _walk(program, nprocs, extra_vars, weakening)
-    key = hb.unroll_key(program.to_source(), nprocs, extra_vars,
-                        weakening, _plan_fingerprint(plan))
-    walk = hb.GRAPH_CACHE.get(key)
-    if walk is None:
-        walk = _walk(program, nprocs, extra_vars, weakening)
-        hb.GRAPH_CACHE.put(key, walk)
+    walk = hb.CachedUnroll(tracers=tracers)
+    for rows in partner_rows:
+        failed = [r for r in rows if isinstance(r, Diagnostic)]
+        evaluated = [r for r in rows if not isinstance(r, Diagnostic)]
+        # The first failing rank's CI004/CI032 stands for the directive.
+        walk.clause_failures.extend(failed[:1])
+        walk.comm_graphs.append(graph_of(nprocs, evaluated)
+                                if evaluated and not failed else None)
+    hb.GRAPH_CACHE.put(key, walk)
     return walk
+
+
+def _node_lines(nodes: list[Node]) -> tuple[int, ...]:
+    """Every node's source line, which the walk's findings carry and
+    the printed source does not fix (it drops blank lines)."""
+    lines: list[int] = []
+    for node in nodes:
+        lines.append(node.line)
+        if isinstance(node, (P2PNode, ParamRegionNode)):
+            lines.extend(_node_lines(node.body))
+    return tuple(lines)
 
 
 def undefined_payload_buffers(
@@ -692,8 +724,7 @@ def undefined_payload_buffers(
     buffers — their contents are lowering- and schedule-defined, not
     program-defined. Reads the verifier's shared, unweakened walk.
     """
-    walk = _shared_walk(program, nprocs, extra_vars,
-                        plan_synchronization(program), None, cache=True)
+    walk = _shared_walk(program, nprocs, extra_vars, None)
     views = _label(walk.tracers, Target.parse(target))
     _match(views)
     out: set[tuple[int, str]] = set()
@@ -716,76 +747,67 @@ def undefined_payload_buffers(
 def verify_program(program: Program, nprocs: int = 8,
                    target: Target | str = Target.MPI_2SIDE,
                    extra_vars: dict[str, int] | None = None,
-                   plan: SyncPlan | None = None,
-                   weakening: str | None = None,
-                   report_unrollable: bool = True,
-                   cache: bool = True) -> VerifyReport:
+                   weakening: str | None = None) -> VerifyReport:
     """Statically verify a parsed program for one default target.
 
     Unrolls every directive over ``nprocs`` ranks (a directive's own
-    ``target`` clause overrides the default), replays ``plan`` (the
-    consolidated synchronization schedule; computed when omitted), and
-    checks deadlock freedom, stale-read freedom, consolidation safety
-    and byte-interval race freedom. ``weakening`` applies one of
-    :data:`WEAKENINGS` to every synchronization, mirroring the dynamic
-    fuzzer's adversarial plans.
+    ``target`` clause overrides the default), synchronizing as the
+    runtime region machinery does, and checks deadlock freedom,
+    stale-read freedom, consolidation safety and byte-interval race
+    freedom. ``weakening`` applies one of :data:`WEAKENINGS` to every
+    synchronization, mirroring the dynamic fuzzer's adversarial plans.
 
     The rank walk is keyed without the target and labelled per target
-    (see :func:`verify_all_targets`): with ``cache=True`` (the default)
-    it is memoized in :data:`repro.core.analysis.hb.GRAPH_CACHE`, so
-    verifying the same source for another target re-walks nothing.
+    (see :func:`verify_all_targets`); it is memoized in
+    :data:`repro.core.analysis.hb.GRAPH_CACHE`, so verifying the same
+    source for another target re-walks nothing.
     """
     target = Target.parse(target)
     return verify_all_targets(
-        program, nprocs=nprocs, extra_vars=extra_vars, plan=plan,
-        targets=[target], weakening=weakening,
-        report_unrollable=report_unrollable, cache=cache)[target]
+        program, nprocs=nprocs, extra_vars=extra_vars,
+        targets=[target], weakening=weakening)[target]
 
 
 def verify_all_targets(program: Program, nprocs: int = 8,
                        extra_vars: dict[str, int] | None = None,
-                       plan: SyncPlan | None = None,
                        targets: "list[Target] | None" = None,
-                       weakening: str | None = None,
-                       report_unrollable: bool = False,
-                       cache: bool = True) -> dict[Target, VerifyReport]:
+                       weakening: str | None = None
+                       ) -> dict[Target, VerifyReport]:
     """Batch entry point: one :class:`VerifyReport` per lowering target.
 
     The ranks are walked once for the whole sweep: the walk (posts,
-    syncs, uses, downgrades) is a pure function of (printed source,
-    nprocs, extra_vars, weakening, plan shape) and records each
+    syncs, uses, downgrades, each directive's communication graph) is a
+    pure function of (printed source, node lines, nprocs, extra_vars,
+    weakening) and records each
     handle's own ``target`` clause only. Each swept target then labels
     copies of the handles with its resolved target, matches them and
     builds its happens-before graph. The findings that read no matched
-    or labelled field (stale reads, consolidation downgrades and, under
-    ``report_unrollable``, CI032) are computed once over the walk and
-    copied into each target's report. With ``cache=True`` the walk and
-    the race pass's target-independent accesses live in
+    or labelled field (CI004/CI032 for failing partner clauses, stale
+    reads and consolidation downgrades) are computed once over the
+    walk and copied into each target's report. The walk and the race
+    pass's target-independent accesses live in
     :data:`repro.core.analysis.hb.GRAPH_CACHE`, so re-sweeps of the
     same source (the differential oracle, the fix engine's proof gate,
-    per-target :func:`verify_program` calls) re-walk nothing;
-    ``cache=False`` walks fresh, once per call.
+    per-target :func:`verify_program` calls) re-walk nothing.
     """
     if weakening is not None and weakening not in WEAKENINGS:
         raise ValueError(f"unknown weakening {weakening!r}; "
                          f"expected one of {WEAKENINGS}")
-    if plan is None:
-        plan = plan_synchronization(program)
     swept = list(targets) if targets else list(Target)
-    walk = _shared_walk(program, nprocs, extra_vars, plan, weakening,
-                        cache)
+    walk = _shared_walk(program, nprocs, extra_vars, weakening)
     loop_varying = _loop_varying_lines(program)
-    unrollable = (_unrollable_diagnostics(program, nprocs, extra_vars)
-                  if report_unrollable else [])
+    failed = {d.line for d in walk.clause_failures}
     walked = any(t.handles for t in walk.tracers)
     shared = (_stale_read_diagnostics(walk.tracers)
               + _consolidation_diagnostics(walk.tracers)
               if walked else [])
     reports: dict[Target, VerifyReport] = {}
     for target in swept:
-        report = VerifyReport(target=target, nprocs=nprocs)
+        report = VerifyReport(target=target, nprocs=nprocs,
+                              comm_graphs=walk.comm_graphs)
         reports[target] = report
-        report.diagnostics.extend(_for_target(unrollable, target))
+        report.diagnostics.extend(_for_target(walk.clause_failures,
+                                              target))
         if not walked:
             continue
         views = _label(walk.tracers, target)
@@ -796,7 +818,13 @@ def verify_all_targets(program: Program, nprocs: int = 8,
         clocks = hb.vector_clocks(graph)
         deadlocks = _deadlock_diagnostics(graph, clocks, target,
                                           loop_varying)
-        report.diagnostics.extend(deadlocks)
+        # A directive whose clauses fail on a rank posts nothing there;
+        # the partners waiting on those halves are its CI004/CI032
+        # finding, not a deadlock.
+        report.diagnostics.extend(
+            d for d in deadlocks
+            if d.directive not in failed
+            or d.code not in ("CI001", "CI002", "CI003"))
         report.diagnostics.extend(_for_target(shared, target))
         if not any(d.severity == "error" for d in deadlocks):
             # The race pass orders events by their vector clocks; a
@@ -845,38 +873,3 @@ def _loop_varying_lines(program: Program) -> frozenset[int]:
         if names - _STATIC_NAMES:
             lines.add(node.line)
     return frozenset(lines)
-
-
-def _unrollable_diagnostics(program: Program, nprocs: int,
-                            extra_vars: dict[str, int] | None
-                            ) -> list[Diagnostic]:
-    """CI032 for directives whose clauses cannot be evaluated, CI004
-    for those whose evaluation fails arithmetically (on rank 0)."""
-    out: list[Diagnostic] = []
-    probe: dict[str, int] = {"nprocs": nprocs, "size": nprocs,
-                             **(extra_vars or {}), "rank": 0}
-    for node, _region, clauses in program.p2p_clauses():
-        if not all(clauses.has(n) for n in
-                   ("sender", "receiver", "sbuf", "rbuf")):
-            continue  # CI030 is the linter's finding
-        try:
-            partners(clauses, probe)
-        except ClauseError as exc:
-            out.append(make("CI004", node.line, str(exc),
-                            directive=node.line))
-        except ReproError:
-            names: set[str] = set()
-            for k in ("sender", "receiver", "sendwhen", "receivewhen",
-                      "count"):
-                if k in clauses.exprs:
-                    try:
-                        names |= exprs.free_names(clauses.exprs[k])
-                    except ReproError:
-                        pass
-            unknown = sorted(names - set(probe))
-            out.append(make(
-                "CI032", node.line,
-                f"directive cannot be unrolled statically: no value "
-                f"for free name(s) {unknown} (pass extra_vars/--var)",
-                directive=node.line))
-    return out

@@ -176,11 +176,7 @@ def check_program(gp: GeneratedProgram,
     # them — every payload comparison must exclude these bytes.
     undefined: set[tuple[int, str]] = set()
     for target in config.targets:
-        try:
-            undefined |= undefined_payload_buffers(
-                program, gp.nprocs, target)
-        except ReproError:
-            pass  # unresolvable clauses: nothing to exclude
+        undefined |= undefined_payload_buffers(program, gp.nprocs, target)
     if undefined:
         result.explained.append(
             "unguaranteed delivery buffer(s) excluded from payload "

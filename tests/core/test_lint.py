@@ -11,13 +11,36 @@ from repro.core.analysis import (
     render_sarif,
 )
 from repro.core.analysis.progsim import simulate_program
+from repro.core.analysis.verify import verify_program
 from repro.core.clauses import Target
 from repro.core.pragma import parse_program
+from repro.core.pragma.__main__ import main_lint
 from repro.errors import ClauseError, SimProcessError, VerificationError
 
 MAX_COMM_ITER_OVERFLOW = (Path(__file__).resolve().parents[2] / "examples"
                           / "pragmas" / "bad" / "max_comm_iter_overflow.c")
 CLAUSE_ARITH_ERROR = MAX_COMM_ITER_OVERFLOW.with_name("clause_arith_error.c")
+CLAUSE_FAILS_ON_ONE_RANK = MAX_COMM_ITER_OVERFLOW.with_name(
+    "clause_fails_on_one_rank.c")
+
+#: name -> (ring clauses whose partner values are no integer rank,
+#: nprocs, the CI004 message). ``/`` yields a float; at nprocs 2 the
+#: bool ``rank==0`` names the other rank, so both read as a clean ring
+#: if a value were truncated to an int.
+NON_INTEGER_RANKS = {
+    "float": ("sender((rank-1+nprocs)%nprocs/1) "
+              "receiver((rank+1)%nprocs/1)", 4,
+              "receiver clause on rank 0: expression '(rank+1)%nprocs/1' "
+              "does not evaluate to an integer rank (got 1.0)"),
+    "bool": ("sender(rank==0) receiver((rank+1)%nprocs)", 2,
+             "sender clause on rank 0: expression 'rank==0' does not "
+             "evaluate to an integer rank (got True)"),
+}
+
+
+def _ring(clauses: str) -> str:
+    return ("double a[8];\ndouble b[8];\nint rank, nprocs;\n"
+            f"#pragma comm_p2p {clauses} sbuf(a) rbuf(b)\nconsume(b);\n")
 
 CLEAN = """
 double a[16]; double b[16]; double c[16]; double d[16];
@@ -188,6 +211,42 @@ class TestDiagnosticCodes:
             simulate_program(parse_program(source), 4, target=target)
         assert isinstance(info.value.original, ClauseError)
         assert "(rank-1)%(nprocs-nprocs)" in str(info.value.original)
+
+    @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.name)
+    def test_clause_failing_on_one_rank_is_one_ci004(self, target):
+        """A receiver expression that fails on rank 2 only: the walk's
+        first failing rank is named, and the halves rank 2 never posts
+        raise no deadlock finding, from the verifier or from lint."""
+        source = CLAUSE_FAILS_ON_ONE_RANK.read_text(encoding="utf-8")
+        verified = verify_program(parse_program(source), nprocs=4,
+                                  target=target)
+        linted = lint_program(parse_program(source), nprocs=4,
+                              targets=[target])
+        for report in (verified, linted):
+            assert [d.code for d in report.diagnostics] == ["CI004"]
+            assert report.errors[0].message.startswith(
+                "receiver clause on rank 2: ")
+        assert linted.patterns == {}
+        with pytest.raises(SimProcessError) as info:
+            simulate_program(parse_program(source), 4, target=target)
+        assert isinstance(info.value.original, ClauseError)
+
+    @pytest.mark.parametrize("name", sorted(NON_INTEGER_RANKS))
+    def test_non_integer_rank_is_ci004(self, name, tmp_path, capsys):
+        """A partner value that is a float or a bool is no rank: lint
+        reports CI004 (exit 1) where the program simulator raises,
+        instead of truncating it into a clean ring."""
+        clauses, nprocs, message = NON_INTEGER_RANKS[name]
+        path = tmp_path / f"{name}.c"
+        path.write_text(_ring(clauses), encoding="utf-8")
+        report = lint_program(parse_program(_ring(clauses)), nprocs=nprocs)
+        assert [(d.code, d.message) for d in report.diagnostics] == [
+            ("CI004", message)]
+        assert main_lint([str(path), "--nprocs", str(nprocs)]) == 1
+        assert "CI004" in capsys.readouterr().out
+        with pytest.raises(SimProcessError,
+                           match="does not evaluate to an integer rank"):
+            simulate_program(parse_program(_ring(clauses)), nprocs)
 
     def test_require_clean_raises_with_listing(self):
         report = lint_program(parse_program(CYCLE), nprocs=4)

@@ -1,12 +1,14 @@
 """One target-independent rank walk serves every lowering target.
 
 The verifier walks each rank once per (program, nprocs, extra_vars,
-weakening, sync plan) and labels the recorded handles per target
-afterwards. These tests pin the walk count, the per-target findings of
-programs that mix per-directive ``target`` clauses, and a golden of the
-per-target diagnostics over the shipped examples and 50 generated
-programs. The golden was recorded with one walk per target, before the
-walk was shared; after an intended verifier change, re-pin it with
+weakening) and labels the recorded handles per target afterwards; the
+walk is also the one place each rank's partner clauses are evaluated.
+These tests pin the walk count, the number of partner evaluations a
+lint makes, the per-target findings of programs that mix per-directive
+``target`` clauses, and a golden of the per-target diagnostics over
+the shipped examples and 50 generated programs. The golden was recorded
+with one walk per target, before the walk was shared; after an
+intended verifier change, re-pin it with
 ``PYTHONPATH=src python tests/core/test_shared_walk.py`` and say why in
 the change description.
 """
@@ -19,7 +21,7 @@ import os
 
 import pytest
 
-from repro.core.analysis import hb, verify
+from repro.core.analysis import dataflow, hb, verify
 from repro.core.analysis.lint import lint_program
 from repro.core.analysis.verify import (
     WEAKENINGS,
@@ -96,8 +98,7 @@ def collect() -> dict[str, dict[str, dict[str, str]]]:
         per_weakening = {}
         for weakening in (None, *WEAKENINGS):
             reports = verify_all_targets(program, nprocs=nprocs,
-                                         weakening=weakening,
-                                         report_unrollable=True)
+                                         weakening=weakening)
             per_weakening[weakening or "none"] = {
                 t.value: _digest(r.diagnostics)
                 for t, r in reports.items()}
@@ -148,12 +149,6 @@ def test_one_walk_per_weakening_across_targets(walks):
     assert len(walks) == 5 * nprocs
 
 
-def test_uncached_sweep_walks_once(walks):
-    verify_all_targets(parse_program(MIXED), nprocs=4, cache=False)
-    assert walks == [0, 1, 2, 3]
-    assert len(hb.GRAPH_CACHE) == 0
-
-
 def test_per_target_verifiers_share_the_walk(walks):
     """The lint's per-target verify units (one call per target) walk
     once between them."""
@@ -185,6 +180,61 @@ def test_lint_prints_and_keys_the_source_once(walks, monkeypatch):
     assert walks == [0, 1, 2, 3]
 
 
+HALO1D = os.path.join(_ROOT, "examples", "pragmas", "halo1d.c")
+
+
+def test_lint_evaluates_each_partner_clause_once_per_rank(walks,
+                                                          monkeypatch):
+    """Lint's pattern and matching checks read the walk's partner rows:
+    a cold lint of halo1d.c's two directives at nprocs 8 evaluates
+    ``partners`` 16 times, and a re-lint with the walk cached none."""
+    calls: list[int] = []
+    evaluate = dataflow.partners
+
+    def counting(clauses, variables):
+        calls.append(variables["rank"])
+        return evaluate(clauses, variables)
+
+    monkeypatch.setattr(dataflow, "partners", counting)
+    monkeypatch.setattr(verify, "partners", counting)
+    with open(HALO1D, encoding="utf-8") as fh:
+        source = fh.read()
+    cold = lint_program(parse_program(source), nprocs=8)
+    assert len(calls) == 16
+    warm = lint_program(parse_program(source), nprocs=8)
+    assert len(calls) == 16
+    assert warm.patterns == cold.patterns == {11: "shift", 12: "shift"}
+
+
+#: A receiver outside the world (CI004 from the matching check) and a
+#: receive nobody sends (CI002); the blank lines of the second copy
+#: move the directive down three lines and vanish from the printed
+#: source.
+OUT_OF_RANGE = """\
+double a[8];
+double b[8];
+int rank, nprocs;
+#pragma comm_p2p sender((rank-1+nprocs)%nprocs) receiver(rank+nprocs) sbuf(a) rbuf(b)
+consume(b);
+"""
+OUT_OF_RANGE_SPACED = OUT_OF_RANGE.replace("nprocs;\n", "nprocs;\n\n\n\n")
+
+
+def test_whitespace_variants_keep_their_own_lines(walks):
+    """Two sources that print alike but place the directive on
+    different lines walk separately: each lint reports the pattern and
+    every finding at its own directive's line."""
+    first, second = (parse_program(OUT_OF_RANGE),
+                     parse_program(OUT_OF_RANGE_SPACED))
+    assert first.to_source() == second.to_source()
+    for program, line in ((first, 4), (second, 7)):
+        report = lint_program(program, nprocs=4)
+        assert report.patterns == {line: "pairwise"}
+        assert sorted({(d.code, d.line) for d in report.diagnostics}) == [
+            ("CI002", line), ("CI004", line)]
+    assert walks == [0, 1, 2, 3] * 2
+
+
 #: A read before the guaranteeing sync (CI012) and a directive over an
 #: unbound name (CI032).
 EARLY_READ_UNBOUND = """\
@@ -202,8 +252,7 @@ int rank, nprocs;
 
 #: The verifier passes that read no matched or labelled handle field.
 TARGET_INDEPENDENT_PASSES = ("_stale_read_diagnostics",
-                             "_consolidation_diagnostics",
-                             "_unrollable_diagnostics")
+                             "_consolidation_diagnostics")
 
 
 #: A region-carried flush the sync plan downgrades (CI020).
@@ -225,8 +274,8 @@ def test_target_independent_passes_run_once_per_sweep(path, monkeypatch):
             calls[_name] += 1
             return _run(*args)
         monkeypatch.setattr(verify, name, counting)
-    reports = verify_all_targets(parse_program(source), nprocs=4,
-                                 report_unrollable=True, cache=False)
+    hb.GRAPH_CACHE.clear()
+    reports = verify_all_targets(parse_program(source), nprocs=4)
     assert calls == {name: 1 for name in TARGET_INDEPENDENT_PASSES}
     shared = {}
     for target, report in reports.items():
