@@ -128,25 +128,12 @@ class PhaseTimes:
         return sum(self.episode_duration(name, e)
                    for e in range(self.episodes(name)))
 
-    def mean_duration(self, name: str) -> float:
-        """Average episode span of a phase."""
-        n = self.episodes(name)
-        return self.total_duration(name) / n if n else 0.0
-
     def rank_total(self, name: str, rank: int) -> float:
         """Sum of one rank's own spans of a phase (its busy time in the
         phase, free of cross-rank arrival skew — what the paper's
         per-routine timers measure)."""
         spans = self.records.get(name, {}).get(rank, [])
         return sum(end - start for start, end in spans)
-
-    def max_rank_total(self, name: str) -> tuple[int, float]:
-        """The (rank, time) with the largest per-rank phase total."""
-        ranks = self.records.get(name, {})
-        if not ranks:
-            raise KeyError(f"no records for phase {name!r}")
-        best = max(ranks, key=lambda r: self.rank_total(name, r))
-        return best, self.rank_total(name, best)
 
 
 @dataclass

@@ -51,14 +51,6 @@ def phase2_energy(env: Env, atom: AtomData, spin: np.ndarray, *,
     return -0.5 * zcor * moment + vdif
 
 
-def core_state_energy(env: Env, atom: AtomData, spin: np.ndarray, *,
-                      phase1_seconds: float,
-                      phase2_seconds: float) -> float:
-    """Full ``calculateCoreStates`` for one atom."""
-    return (phase1_energy(env, atom, cost_seconds=phase1_seconds)
-            + phase2_energy(env, atom, spin, cost_seconds=phase2_seconds))
-
-
 def calibrated_cost(model, group_size: int, *, ratio: float = 19.0,
                     gpu_speedup: float = 1.0) -> float:
     """Per-rank core-state compute seconds for one WL step.

@@ -79,10 +79,6 @@ class Topology:
         first = self.first_rank_of(group)
         return list(range(first, first + self.group_size))
 
-    def nonprivileged_of(self, group: int) -> list[int]:
-        """The instance's ranks excluding the privileged one."""
-        return self.members_of(group)[1:]
-
     def privileged_ranks(self) -> list[int]:
         """The privileged rank of every LSMS instance."""
         return [self.privileged_rank_of(g) for g in range(self.n_lsms)]

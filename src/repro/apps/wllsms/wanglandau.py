@@ -36,7 +36,6 @@ class WangLandau:
     e_max: float
     n_bins: int = 32
     flatness: float = 0.8
-    ln_f_final: float = 1e-4
 
     ln_g: np.ndarray = field(init=False)
     histogram: np.ndarray = field(init=False)
@@ -88,11 +87,6 @@ class WangLandau:
         self.ln_f /= 2.0
         self.histogram[:] = 0
         self.refinements += 1
-
-    @property
-    def converged(self) -> bool:
-        """True once the modification factor reached its floor."""
-        return self.ln_f <= self.ln_f_final
 
     def normalized_ln_g(self) -> np.ndarray:
         """ln g shifted so its minimum visited value is zero."""

@@ -60,7 +60,9 @@ RULES: dict[str, Rule] = {r.code: r for r in (
          "make the target's receivewhen true for this transfer so the "
          "generated exposure epoch exists"),
     Rule("CI004", "invalid-rank", "error",
-         "a sender/receiver expression evaluates outside 0..nprocs-1",
+         "a sender/receiver expression evaluates outside 0..nprocs-1 "
+         "or to no integer rank (a float or a bool), or fails "
+         "arithmetically on some rank",
          "clamp or guard the rank expression with sendwhen/receivewhen"),
     Rule("CI005", "unreceived-send", "warning",
          "a send targets a rank whose receivewhen is false"),

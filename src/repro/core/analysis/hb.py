@@ -80,9 +80,9 @@ class Handle:
     post: Event
     directive: int                  # directive source line
     names: frozenset[str]           # buffer base names it moves
-    #: Lowering target keyword. A walk records only the directive's own
-    #: ``target`` clause (None = the default); the per-target labelling
-    #: of :mod:`repro.core.analysis.verify` resolves it.
+    #: The directive's own ``target`` clause keyword, None for the
+    #: default: the walk serves every target, and a swept target
+    #: resolves it with :meth:`lowering`.
     target: str | None
     #: The buffer expression as written (``&buf[p]``), for the
     #: byte-interval derivation of :mod:`repro.core.analysis.access`.
@@ -90,17 +90,25 @@ class Handle:
     #: The sync event that completed this handle; None when a weakened
     #: plan discarded it (the runtime handle was dropped before sync).
     sync: Event | None = None
-    #: The matched opposite half on the peer rank, if any.
-    matched: "Handle | None" = None
-    #: The positionally paired half whose lowering target disagrees
-    #: (CI007): the shared sequence counters pair them, but no backend
-    #: delivers across lowerings, so they never match.
-    mislowered: "Handle | None" = None
+    #: The opposite half on the peer rank the per-channel sequence
+    #: numbers pair this one with, if any; set once per walk.
+    partner: "Handle | None" = None
     #: For sends: the paired destination-buffer expression (the rbuf the
     #: runtime zips with this sbuf), for delivery-site byte intervals.
     dest_expr: str = ""
     #: id() of the enclosing region node; None for standalone p2p.
     region_key: int | None = None
+
+    def lowering(self, default: str) -> str:
+        """The target keyword this half lowers to under ``default``."""
+        return self.target or default
+
+    def match(self, default: str) -> "Handle | None":
+        """The partner when both halves lower alike under ``default``
+        (one lowered differently is CI007, not a match)."""
+        p = self.partner
+        return (p if p is not None
+                and p.lowering(default) == self.lowering(default) else None)
 
 
 @dataclass
@@ -185,13 +193,13 @@ def vector_clocks(graph: HBGraph) -> dict[Event, list[int]]:
 # ---------------------------------------------------------------------------
 # Content-hash keyed unroll cache
 #
-# The symbolic walk — the per-rank tracers — is pure in (source text,
-# node lines, nprocs, extra_vars, weakening); no lowering target
-# participates. A directive states its communication once, and the
-# target only decides how each handle lowers, so the verifier walks
-# each program once and labels the handles per target afterwards (cheap:
-# a handle copy, the matching and the graph). The verify, race and
-# batch-lint passes of every target share one walk, and batch linting
+# The symbolic walk — the per-rank tracers and the pairing of their
+# halves — is pure in (source text, node lines, nprocs, extra_vars,
+# weakening); no lowering target participates. A directive states its
+# communication once, and the target only decides how each handle
+# lowers, so the verifier walks and pairs each program once and each
+# target only reads the pairing to build its graph. The verify, race
+# and batch-lint passes of every target share one walk, and batch linting
 # thousands of generated programs (repro.gen) re-verifies identical
 # shrunk candidates constantly; caching by content hash means each
 # distinct (program, nprocs, weakening) pays the walk once instead of
@@ -203,7 +211,8 @@ class CachedUnroll:
     """One memoized target-independent walk.
 
     ``tracers`` are the per-rank tracers, whose handles carry only
-    their directive's own ``target`` clause; ``comm_graphs`` and
+    their directive's own ``target`` clause and their paired
+    ``partner``; ``comm_graphs`` and
     ``clause_failures`` are each directive's evaluated pattern and the
     CI004/CI032 of those whose partner clauses fail on some rank;
     ``accesses`` holds the race pass's target-independent byte intervals

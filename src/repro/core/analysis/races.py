@@ -5,7 +5,8 @@ properties; this pass proves the *data* property on top of them: no
 two conflicting accesses touch overlapping bytes of one allocation
 while unordered in the happens-before graph.
 
-Every access is reduced to a **window on its owner rank's trace**:
+Each handle of the verifier's walk lowers to its directive's
+``target`` clause, else the swept target. Every access is reduced to a **window on its owner rank's trace**:
 
 * a posted send reads its ``sbuf`` bytes over ``[post, flushing
   sync)``;
@@ -156,10 +157,11 @@ class WalkAccesses:
 
 
 def _collect(tracers: Sequence[RankTrace],
-             clocks: dict[hb.Event, list[int]],
+             clocks: dict[hb.Event, list[int]], target: Target,
              accesses: WalkAccesses
              ) -> dict[tuple[int, str], list[_Access]]:
-    """All accesses, grouped by (owner rank, buffer base name)."""
+    """All accesses under ``target``, grouped by (owner rank, name)."""
+    default = target.value
     vars_of = {t.rank: t.variables for t in tracers}
     groups: dict[tuple[int, str], list[_Access]] = {}
 
@@ -183,8 +185,10 @@ def _collect(tracers: Sequence[RankTrace],
             # trace index); this mirrors the dynamic sanitizer's
             # close-epoch rule exactly.
             end = h.sync.index + 1 if h.sync is not None else _OPEN
-            shmem = h.target == _SHMEM
-            put_like = h.target in _PUT_LIKE
+            lowering = h.lowering(default)
+            shmem = lowering == _SHMEM
+            put_like = lowering in _PUT_LIKE
+            matched = h.match(default)
             if h.kind == "send":
                 add(_Access(
                     kind="read", comm=True, start=h.post.index,
@@ -196,7 +200,7 @@ def _collect(tracers: Sequence[RankTrace],
                     origin_sync=(h.sync.index if h.sync is not None
                                  else None),
                     shmem=shmem, put_like=put_like))
-                if shmem and h.matched is None and h.dest_expr:
+                if shmem and matched is None and h.dest_expr:
                     # An unmatched SHMEM put still delivers: the typed
                     # put writes the destination PE's symmetric mirror
                     # without any receiver participation, so the write
@@ -222,25 +226,25 @@ def _collect(tracers: Sequence[RankTrace],
                                      if h.sync is not None else None),
                         shmem=True, put_like=True))
                 continue
-            if h.matched is None:
+            if matched is None:
                 continue  # nothing is ever delivered (CI002/CI003)
             start = h.post.index
             if shmem:
                 # The put needs nothing from the receiver: it can land
                 # from the first receiver event not happening before
                 # the origin's put onward.
-                vc = clocks.get(h.matched.post)
+                vc = clocks.get(matched.post)
                 start = vc[rank] if vc is not None else 0
                 # And it lands where the *origin* aims it: the shmem
                 # put writes the symmetric buffer named by the sender's
                 # rbuf operand, not the buffer this receive posted
                 # (they differ when mismatched directives pair up).
-                if h.matched.dest_expr:
-                    name = base_identifier(h.matched.dest_expr)
+                if matched.dest_expr:
+                    name = base_identifier(matched.dest_expr)
                     span = accesses.buffer(
-                        h.matched.rank,
-                        vars_of.get(h.matched.rank, tracer.variables),
-                        h.matched.directive, h.matched.dest_expr)
+                        matched.rank,
+                        vars_of.get(matched.rank, tracer.variables),
+                        matched.directive, matched.dest_expr)
             add(_Access(
                 kind="write", comm=True, start=start, end=end,
                 span=span, owner=rank, name=name, line=h.post.line,
@@ -249,10 +253,10 @@ def _collect(tracers: Sequence[RankTrace],
                       f"{h.directive}" if shmem else
                       f"the delivery of the receive posted by the "
                       f"directive at line {h.directive}"),
-                origin=h.matched.rank,
-                origin_post=h.matched.post.index,
-                origin_sync=(h.matched.sync.index
-                             if h.matched.sync is not None else None),
+                origin=matched.rank,
+                origin_post=matched.post.index,
+                origin_sync=(matched.sync.index
+                             if matched.sync is not None else None),
                 shmem=shmem, put_like=put_like))
         for acc in accesses.raw_writes(tracer):
             add(acc)
@@ -321,12 +325,12 @@ def race_diagnostics(tracers: Sequence[RankTrace],
                      clocks: dict[hb.Event, list[int]], target: Target,
                      loop_varying: frozenset[int],
                      accesses: WalkAccesses) -> list[Diagnostic]:
-    """All CI04x findings for one unrolled target, rank-aggregated.
+    """All CI04x findings for one swept target, rank-aggregated.
 
     ``clocks`` are the target graph's vector clocks
     (:func:`repro.core.analysis.hb.vector_clocks`); ``accesses`` is
     the walk's shared memo of target-independent accesses."""
-    groups = _collect(tracers, clocks, accesses)
+    groups = _collect(tracers, clocks, target, accesses)
 
     found: dict[tuple[str, str, int, int, str], tuple[str, str,
                                                       int | None,

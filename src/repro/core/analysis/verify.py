@@ -24,9 +24,11 @@ The executor is deliberately the static twin of
 ends flush it as their ``place_sync`` placement says, an instance whose
 buffers alias pending communication forces the pending synchronization
 first. It is the one place the static side evaluates each rank's
-partner clauses (:func:`repro.core.analysis.dataflow.partners`); lint
-reads the communication graphs it builds from them
-(:attr:`VerifyReport.comm_graphs`). The same three *weakenings* the
+partner clauses (:func:`repro.core.analysis.dataflow.partners`) and
+pairs each send with its receive; lint reads the communication graphs
+it builds from the former (:attr:`VerifyReport.comm_graphs`), and
+every target, the race pass and the differential oracle's payload mask
+read the latter. The same three *weakenings* the
 dynamic sync-plan fuzzer applies to ``PendingComm.sync`` at run
 time (:data:`WEAKENINGS`) can be applied here symbolically, which is
 what lets ``tests/faults/test_fuzz.py`` cross-check that every plan the
@@ -80,8 +82,6 @@ _IDENT = re.compile(r"[A-Za-z_]\w*")
 _ASSIGN = re.compile(
     r"\b([A-Za-z_]\w*)\s*\[([^\][]*)\]\s*(?:[+\-*/%&|^]|<<|>>)?=(?!=)")
 
-_TWO_SIDED = Target.MPI_2SIDE
-
 #: One rank's evaluation of one directive's partner clauses:
 #: ``(sends_here, recvs_here, src, dst)`` or the finding it failed with.
 _PartnerRow = tuple[bool, bool, int, int] | Diagnostic
@@ -97,10 +97,6 @@ class VerifyReport:
     #: The happens-before graph, for tooling/tests; None when the
     #: program had nothing to unroll.
     graph: hb.HBGraph | None = None
-    #: The per-rank traces labelled for this target, for downstream
-    #: passes (the CI04x race analysis) and tests; None when nothing
-    #: was unrolled.
-    tracers: "list[_RankView] | None" = None
     #: Each directive's pattern, in :meth:`Program.p2p_clauses` order;
     #: None when a clause is missing (CI030) or fails on a rank (CI004).
     comm_graphs: list[CommGraph | None] = field(default_factory=list)
@@ -137,7 +133,8 @@ class _RankTracer:
     events completing the pending handles, subject to the configured
     weakening. The walk is target-independent: each handle records only
     its directive's effective ``target`` clause (None = the default),
-    and :func:`_label` resolves it per lowering target. ``scope`` maps
+    which each swept target resolves with
+    :meth:`repro.core.analysis.hb.Handle.lowering`. ``scope`` maps
     ``id(node)`` to the directive's position in
     :meth:`repro.core.ir.Program.p2p_clauses`, the ``id`` of its scope
     region (None when standalone) and its effective clauses; the ids
@@ -381,41 +378,13 @@ def _live_names(clauses: ClauseExprs, sends_here: bool,
 
 
 # ---------------------------------------------------------------------------
-# Per-target labelling and cross-rank assembly
+# Pairing and per-target cross-rank assembly
 
 
-@dataclass
-class _RankView:
-    """One rank of a walk labelled for one lowering target: the walk's
-    shared trace and downgrades, plus copies of its handles carrying
-    the resolved target."""
-
-    rank: int
-    variables: dict[str, int]
-    trace: list[hb.Event]
-    downgrades: list[_Downgrade]
-    handles: list[hb.Handle]
-
-
-def _label(tracers: list[_RankTracer], target: Target) -> list[_RankView]:
-    """Copy every walked handle with its lowering target resolved (the
-    directive's own ``target`` clause, else ``target``). The copies
-    start unmatched; :func:`_match` pairs them for this target."""
-    default = target.value
-    return [_RankView(
-        t.rank, t.variables, t.trace, t.downgrades,
-        [hb.Handle(kind=h.kind, rank=h.rank, peer=h.peer, post=h.post,
-                   directive=h.directive, names=h.names,
-                   target=h.target or default, expr=h.expr,
-                   sync=h.sync, dest_expr=h.dest_expr,
-                   region_key=h.region_key)
-         for h in t.handles])
-        for t in tracers]
-
-
-def _match(tracers: list[_RankView]) -> None:
+def _pair(tracers: list[_RankTracer]) -> None:
     """Pair send and receive halves positionally per ordered rank pair,
-    mirroring the runtime's per-channel sequence numbers."""
+    mirroring the runtime's per-channel sequence numbers; no target is
+    read, so one pairing serves every target."""
     sends: dict[tuple[int, int], list[hb.Handle]] = {}
     recvs: dict[tuple[int, int], list[hb.Handle]] = {}
     for tracer in tracers:
@@ -427,41 +396,35 @@ def _match(tracers: list[_RankView]) -> None:
                 recvs.setdefault((handle.peer, handle.rank),
                                  []).append(handle)
     for pair, slist in sends.items():
-        rlist = recvs.get(pair, [])
-        for s, r in zip(slist, rlist):
-            if s.target != r.target:
-                # The shared sequence counters pair these halves, but
-                # no backend delivers across lowerings: a SHMEM put
-                # never satisfies an MPI_Irecv, a two-sided Isend never
-                # produces a one-sided notify. The pairing is a
-                # lowering error (CI007), not a match.
-                s.mislowered = r
-                r.mislowered = s
-                continue
-            s.matched = r
-            r.matched = s
+        for s, r in zip(slist, recvs.get(pair, [])):
+            s.partner, r.partner = r, s
 
 
-def _build_graph(tracers: list[_RankView], nprocs: int) -> hb.HBGraph:
+def _build_graph(tracers: list[_RankTracer], nprocs: int,
+                 target: Target) -> hb.HBGraph:
     """Target-aware cross-rank dependencies over the rank traces."""
+    default = target.value
     graph = hb.HBGraph(nprocs=nprocs,
                        traces=[t.trace for t in tracers])
     for tracer in tracers:
         for h in tracer.handles:
-            one_sided = h.target != _TWO_SIDED.value
+            lowering = h.lowering(default)
+            matched = h.match(default)
+            # Below, an unmatched half's partner is lowered differently:
+            # no backend delivers across lowerings (CI007).
             if h.kind == "send":
-                if h.target == Target.MPI_1SIDE.value:
+                if lowering == Target.MPI_1SIDE.value:
                     # The put itself needs the target's exposure epoch.
-                    if h.matched is not None:
-                        graph.add_dep(h.post, h.matched.post)
-                    elif h.mislowered is not None:
+                    if matched is not None:
+                        graph.add_dep(h.post, matched.post)
+                    elif h.partner is not None:
                         graph.add_missing(h.post, "CI007", (
                             f"one-sided put from rank {h.rank} to rank "
                             f"{h.peer} (directive at line "
-                            f"{h.directive}, target {h.target}) is "
+                            f"{h.directive}, target {lowering}) is "
                             f"paired with a receive lowered to "
-                            f"{h.mislowered.target} (directive at line "
-                            f"{h.mislowered.directive}); no backend "
+                            f"{h.partner.lowering(default)} (directive "
+                            f"at line {h.partner.directive}); no backend "
                             "delivers across lowerings, so no exposure "
                             "epoch ever reaches the put"),
                             directive=h.directive)
@@ -478,15 +441,15 @@ def _build_graph(tracers: list[_RankView], nprocs: int) -> hb.HBGraph:
             # (one-sided notify).
             if h.sync is None:
                 continue
-            if h.matched is None:
-                if h.mislowered is not None:
+            if matched is None:
+                if h.partner is not None:
                     graph.add_missing(h.sync, "CI007", (
                         f"synchronization at line {h.sync.line} on "
                         f"rank {h.rank} waits for a message from rank "
-                        f"{h.peer} lowered to {h.mislowered.target} "
-                        f"(directive at line "
-                        f"{h.mislowered.directive}), but this receive "
-                        f"is lowered to {h.target} (directive at line "
+                        f"{h.peer} lowered to "
+                        f"{h.partner.lowering(default)} (directive at "
+                        f"line {h.partner.directive}), but this receive "
+                        f"is lowered to {lowering} (directive at line "
                         f"{h.directive}); no backend delivers across "
                         "lowerings"), directive=h.directive)
                 else:
@@ -496,9 +459,9 @@ def _build_graph(tracers: list[_RankView], nprocs: int) -> hb.HBGraph:
                         f"sender {h.peer} to receiver {h.rank} "
                         f"(directive at line {h.directive}) that is "
                         "never sent"), directive=h.directive)
-            elif not one_sided:
-                graph.add_dep(h.sync, h.matched.post)
-            elif h.matched.sync is None:
+            elif lowering == Target.MPI_2SIDE.value:
+                graph.add_dep(h.sync, matched.post)
+            elif matched.sync is None:
                 graph.add_missing(h.sync, "CI002", (
                     f"synchronization at line {h.sync.line} on rank "
                     f"{h.rank} waits for the notify of the message from "
@@ -512,9 +475,9 @@ def _build_graph(tracers: list[_RankView], nprocs: int) -> hb.HBGraph:
                 # only needs the sender to *reach* its sync call — i.e.
                 # everything before it on the sender's rank, not the
                 # sync's own completion (that would manufacture cycles).
-                sender_trace = graph.traces[h.matched.rank]
+                sender_trace = graph.traces[matched.rank]
                 graph.add_dep(h.sync,
-                              sender_trace[h.matched.sync.index - 1])
+                              sender_trace[matched.sync.index - 1])
     return graph
 
 
@@ -657,9 +620,10 @@ def _plural(items: list[int] | list[str]) -> str:
 def _shared_walk(program: Program, nprocs: int,
                  extra_vars: dict[str, int] | None,
                  weakening: str | None) -> hb.CachedUnroll:
-    """Symbolically execute the program on every rank, once for every
-    lowering target; the walk of (program, nprocs, extra_vars,
-    weakening) is memoized in :data:`repro.core.analysis.hb.GRAPH_CACHE`.
+    """Symbolically execute the program on every rank and pair the
+    posted halves, once for every lowering target; the walk of
+    (program, nprocs, extra_vars, weakening) is memoized in
+    :data:`repro.core.analysis.hb.GRAPH_CACHE`.
     """
     key = hb.unroll_key(program.to_source(), _node_lines(program.nodes),
                         nprocs, extra_vars, weakening)
@@ -685,6 +649,7 @@ def _shared_walk(program: Program, nprocs: int,
                              weakening, buffer_names, partner_rows)
         tracer.run(program.nodes)
         tracers.append(tracer)
+    _pair(tracers)
     walk = hb.CachedUnroll(tracers=tracers)
     for rows in partner_rows:
         failed = [r for r in rows if isinstance(r, Diagnostic)]
@@ -722,25 +687,26 @@ def undefined_payload_buffers(
     parks them forever. Bit-for-bit payload comparisons (across
     lowerings, or across adversarial schedules) must exclude these
     buffers — their contents are lowering- and schedule-defined, not
-    program-defined. Reads the verifier's shared, unweakened walk.
+    program-defined. Reads the pairing of the verifier's shared,
+    unweakened walk.
     """
     walk = _shared_walk(program, nprocs, extra_vars, None)
-    views = _label(walk.tracers, Target.parse(target))
-    _match(views)
+    default = Target.parse(target).value
     out: set[tuple[int, str]] = set()
-    for view in views:
-        for h in view.handles:
+    for tracer in walk.tracers:
+        for h in tracer.handles:
             if h.kind != "send" or not h.dest_expr:
                 continue
-            if h.matched is None:
+            matched = h.match(default)
+            if matched is None:
                 out.add((h.peer, base_identifier(h.dest_expr)))
-            elif h.matched.expr != h.dest_expr:
+            elif matched.expr != h.dest_expr:
                 # The pairing disagrees on the delivery site: a put
                 # writes where the *sender* aims, a two-sided receive
                 # where the *receiver* posted. Both destinations are
                 # lowering-defined, not program-defined.
                 out.add((h.peer, base_identifier(h.dest_expr)))
-                out.add((h.peer, base_identifier(h.matched.expr)))
+                out.add((h.peer, base_identifier(matched.expr)))
     return frozenset(out)
 
 
@@ -757,7 +723,7 @@ def verify_program(program: Program, nprocs: int = 8,
     freedom. ``weakening`` applies one of :data:`WEAKENINGS` to every
     synchronization, mirroring the dynamic fuzzer's adversarial plans.
 
-    The rank walk is keyed without the target and labelled per target
+    The rank walk is keyed without the target and read by every target
     (see :func:`verify_all_targets`); it is memoized in
     :data:`repro.core.analysis.hb.GRAPH_CACHE`, so verifying the same
     source for another target re-walks nothing.
@@ -776,15 +742,17 @@ def verify_all_targets(program: Program, nprocs: int = 8,
     """Batch entry point: one :class:`VerifyReport` per lowering target.
 
     The ranks are walked once for the whole sweep: the walk (posts,
-    syncs, uses, downgrades, each directive's communication graph) is a
-    pure function of (printed source, node lines, nprocs, extra_vars,
-    weakening) and records each
-    handle's own ``target`` clause only. Each swept target then labels
-    copies of the handles with its resolved target, matches them and
-    builds its happens-before graph. The findings that read no matched
-    or labelled field (CI004/CI032 for failing partner clauses, stale
-    reads and consolidation downgrades) are computed once over the
-    walk and copied into each target's report. The walk and the race
+    syncs, uses, downgrades, each directive's communication graph and
+    the pairing of every send with its receive) is a pure function of
+    (printed source, node lines, nprocs, extra_vars, weakening) and
+    records each handle's own ``target`` clause only. Each swept target
+    then reads the pairing under its lowering (a partner lowered
+    differently is CI007) and builds its happens-before graph. The
+    findings that read no lowering (CI004/CI032 for failing partner
+    clauses, stale reads and consolidation downgrades) are computed
+    once over the walk and copied into each target's report; no
+    deadlock is reported at or after the first failing directive,
+    where the run aborts. The walk and the race
     pass's target-independent accesses live in
     :data:`repro.core.analysis.hb.GRAPH_CACHE`, so re-sweeps of the
     same source (the differential oracle, the fix engine's proof gate,
@@ -796,7 +764,8 @@ def verify_all_targets(program: Program, nprocs: int = 8,
     swept = list(targets) if targets else list(Target)
     walk = _shared_walk(program, nprocs, extra_vars, weakening)
     loop_varying = _loop_varying_lines(program)
-    failed = {d.line for d in walk.clause_failures}
+    first_failure = min((d.line for d in walk.clause_failures),
+                        default=None)
     walked = any(t.handles for t in walk.tracers)
     shared = (_stale_read_diagnostics(walk.tracers)
               + _consolidation_diagnostics(walk.tracers)
@@ -810,21 +779,20 @@ def verify_all_targets(program: Program, nprocs: int = 8,
                                               target))
         if not walked:
             continue
-        views = _label(walk.tracers, target)
-        _match(views)
-        graph = _build_graph(views, nprocs)
+        graph = _build_graph(walk.tracers, nprocs, target)
         report.graph = graph
-        report.tracers = views
         clocks = hb.vector_clocks(graph)
         deadlocks = _deadlock_diagnostics(graph, clocks, target,
                                           loop_varying)
-        # A directive whose clauses fail on a rank posts nothing there;
-        # the partners waiting on those halves are its CI004/CI032
-        # finding, not a deadlock.
+        # A directive whose clauses fail on a rank posts nothing there,
+        # and the run aborts there: the halves the positional pairing
+        # misses from that directive on are its CI004/CI032 finding,
+        # not a deadlock.
         report.diagnostics.extend(
             d for d in deadlocks
-            if d.directive not in failed
-            or d.code not in ("CI001", "CI002", "CI003"))
+            if first_failure is None
+            or d.code not in ("CI001", "CI002", "CI003")
+            or (d.directive or d.line) < first_failure)
         report.diagnostics.extend(_for_target(shared, target))
         if not any(d.severity == "error" for d in deadlocks):
             # The race pass orders events by their vector clocks; a
@@ -833,7 +801,8 @@ def verify_all_targets(program: Program, nprocs: int = 8,
             if walk.accesses is None:
                 walk.accesses = WalkAccesses(program)
             report.diagnostics.extend(race_diagnostics(
-                views, clocks, target, loop_varying, walk.accesses))
+                walk.tracers, clocks, target, loop_varying,
+                walk.accesses))
         report.diagnostics.sort(key=lambda d: d.sort_key())
     return reports
 

@@ -228,10 +228,6 @@ class LoweringError(DirectiveError):
     """The directive could not be translated to the requested target."""
 
 
-class OverlapError(DirectiveError):
-    """The overlap body is not legal to run concurrently with the comm."""
-
-
 # ---------------------------------------------------------------------------
 # Static front end / code generation
 

@@ -34,7 +34,7 @@ closed and ``b``'s snapshot covers the closing rank's epoch at close
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -82,13 +82,6 @@ class Access:
     def overlaps(self, other: "Access") -> bool:
         """True when the two absolute byte intervals intersect."""
         return self.lo < other.hi and other.lo < self.hi
-
-
-@dataclass
-class _Published:
-    """A published vector-clock snapshot awaiting acquisition."""
-
-    vc: list[int] = field(default_factory=list)
 
 
 class AccessSanitizer:

@@ -22,6 +22,8 @@ MAX_COMM_ITER_OVERFLOW = (Path(__file__).resolve().parents[2] / "examples"
 CLAUSE_ARITH_ERROR = MAX_COMM_ITER_OVERFLOW.with_name("clause_arith_error.c")
 CLAUSE_FAILS_ON_ONE_RANK = MAX_COMM_ITER_OVERFLOW.with_name(
     "clause_fails_on_one_rank.c")
+CLAUSE_FAILS_BEFORE_CLEAN_RING = MAX_COMM_ITER_OVERFLOW.with_name(
+    "clause_fails_before_clean_ring.c")
 
 #: name -> (ring clauses whose partner values are no integer rank,
 #: nprocs, the CI004 message). ``/`` yields a float; at nprocs 2 the
@@ -231,6 +233,24 @@ class TestDiagnosticCodes:
             simulate_program(parse_program(source), 4, target=target)
         assert isinstance(info.value.original, ClauseError)
 
+    @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.name)
+    def test_clause_failing_before_clean_ring_is_one_ci004(self, target):
+        """The run aborts at the failing directive, so the clean ring
+        after it, whose halves pair against the ones rank 2 never
+        posted, raises no deadlock finding either."""
+        source = CLAUSE_FAILS_BEFORE_CLEAN_RING.read_text(encoding="utf-8")
+        verified = verify_program(parse_program(source), nprocs=4,
+                                  target=target)
+        linted = lint_program(parse_program(source), nprocs=4,
+                              targets=[target])
+        for report in (verified, linted):
+            [error] = report.errors
+            assert error.code == "CI004"
+            assert error.message.startswith("receiver clause on rank 2: ")
+        with pytest.raises(SimProcessError) as info:
+            simulate_program(parse_program(source), 4, target=target)
+        assert isinstance(info.value.original, ClauseError)
+
     @pytest.mark.parametrize("name", sorted(NON_INTEGER_RANKS))
     def test_non_integer_rank_is_ci004(self, name, tmp_path, capsys):
         """A partner value that is a float or a bool is no rank: lint
@@ -276,6 +296,12 @@ class TestRenderers:
         levels = {r["ruleId"]: r["level"] for r in run["results"]}
         assert "CI001" in rule_ids
         assert levels["CI001"] == "error"
+        [ci004] = [r for r in run["tool"]["driver"]["rules"]
+                   if r["id"] == "CI004"]
+        assert ci004["shortDescription"]["text"] == (
+            "a sender/receiver expression evaluates outside 0..nprocs-1 "
+            "or to no integer rank (a float or a bool), or fails "
+            "arithmetically on some rank")
         for result in run["results"]:
             [loc] = result["locations"]
             physical = loc["physicalLocation"]

@@ -1,8 +1,9 @@
 """One target-independent rank walk serves every lowering target.
 
 The verifier walks each rank once per (program, nprocs, extra_vars,
-weakening) and labels the recorded handles per target afterwards; the
-walk is also the one place each rank's partner clauses are evaluated.
+weakening), pairs each send with its receive in that walk, and each
+target reads the pairing afterwards; the walk is also the one place
+each rank's partner clauses are evaluated.
 These tests pin the walk count, the number of partner evaluations a
 lint makes, the per-target findings of programs that mix per-directive
 ``target`` clauses, and a golden of the per-target diagnostics over
@@ -10,7 +11,11 @@ the shipped examples and 50 generated programs. The golden was recorded
 with one walk per target, before the walk was shared; after an
 intended verifier change, re-pin it with
 ``PYTHONPATH=src python tests/core/test_shared_walk.py`` and say why in
-the change description.
+the change description. A second golden pins
+:func:`~repro.core.analysis.verify.undefined_payload_buffers` over the
+same programs and the pattern catalog's texts on every target; it was
+recorded before the halves were paired once per walk, and the same
+script re-pins it.
 """
 
 from __future__ import annotations
@@ -31,11 +36,14 @@ from repro.core.clauses import Target
 from repro.core.ir import Program
 from repro.core.pragma import parse_program
 from repro.gen.generator import generate_many
+from repro.patterns.catalog import PATTERNS
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 _GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "golden", "verify_diagnostics.json")
+_PAYLOAD_GOLDEN = os.path.join(os.path.dirname(_GOLDEN),
+                               "undefined_payload_buffers.json")
 
 #: World size for the shipped examples (generated programs carry their
 #: own).
@@ -110,6 +118,30 @@ def test_per_target_diagnostics_match_golden():
     with open(_GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     got = collect()
+    assert sorted(got) == sorted(golden)
+    for name in golden:
+        assert got[name] == golden[name], name
+
+
+def collect_payload_masks() -> dict[str, dict[str, list[list]]]:
+    """name -> target -> sorted ``[rank, buffer]`` pairs the oracle
+    masks, over the golden's programs and the catalog texts."""
+    programs = [(name, parse_program(source), nprocs, None)
+                for name, source, nprocs in _programs()]
+    programs += [(f"catalog/{name}", spec.program(), spec.nprocs,
+                  spec.bindings)
+                 for name, spec in sorted(PATTERNS.items())]
+    return {name: {t.value: [list(pair) for pair in sorted(
+                       verify.undefined_payload_buffers(
+                           program, nprocs, t, extra_vars))]
+                   for t in Target}
+            for name, program, nprocs, extra_vars in programs}
+
+
+def test_undefined_payload_buffers_match_golden():
+    with open(_PAYLOAD_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    got = collect_payload_masks()
     assert sorted(got) == sorted(golden)
     for name in golden:
         assert got[name] == golden[name], name
@@ -250,7 +282,7 @@ int rank, nprocs;
 #pragma comm_p2p sender(px) receiver(px) sbuf(e) rbuf(f)
 """
 
-#: The verifier passes that read no matched or labelled handle field.
+#: The verifier passes that read no handle's lowering or pairing.
 TARGET_INDEPENDENT_PASSES = ("_stale_read_diagnostics",
                              "_consolidation_diagnostics")
 
@@ -263,7 +295,9 @@ CARRIED_FLUSH = os.path.join(_ROOT, "examples", "pragmas", "generated",
 @pytest.mark.parametrize("path", [None, CARRIED_FLUSH])
 def test_target_independent_passes_run_once_per_sweep(path, monkeypatch):
     """A three-target sweep runs each target-independent pass once and
-    gives every target its own tagged copy of the findings."""
+    gives every target its own tagged copy of the findings. The sweep
+    and the oracle's three payload masks pair the halves once between
+    them, and a re-sweep with the walk cached pairs nothing."""
     source = EARLY_READ_UNBOUND
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -274,9 +308,23 @@ def test_target_independent_passes_run_once_per_sweep(path, monkeypatch):
             calls[_name] += 1
             return _run(*args)
         monkeypatch.setattr(verify, name, counting)
+    pairings: list[int] = []
+    pair = verify._pair
+
+    def counting_pair(tracers):
+        pairings.append(len(tracers))
+        return pair(tracers)
+
+    monkeypatch.setattr(verify, "_pair", counting_pair)
     hb.GRAPH_CACHE.clear()
-    reports = verify_all_targets(parse_program(source), nprocs=4)
+    program = parse_program(source)
+    reports = verify_all_targets(program, nprocs=4)
     assert calls == {name: 1 for name in TARGET_INDEPENDENT_PASSES}
+    for target in Target:
+        verify.undefined_payload_buffers(program, 4, target)
+    assert pairings == [4]
+    verify_all_targets(program, nprocs=4)
+    assert pairings == [4]
     shared = {}
     for target, report in reports.items():
         found = [d for d in report.diagnostics
@@ -357,6 +405,8 @@ def test_mixed_targets_pinned(target):
 
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(_GOLDEN), exist_ok=True)
-    with open(_GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(collect(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for path, rows in ((_GOLDEN, collect()),
+                       (_PAYLOAD_GOLDEN, collect_payload_masks())):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(rows, fh, indent=1, sort_keys=True)
+            fh.write("\n")
