@@ -149,7 +149,7 @@ class AppResult:
     wang_landau: WangLandau
     makespan: float
     #: Per-rank virtual finish times (determinism regression tests
-    #: compare these across scheduler implementations).
+    #: pin these as goldens).
     finish_times: list[float] | None = None
     #: Span profile of the run (``AppConfig.profile=True`` only).
     profile: Any = None
@@ -160,8 +160,8 @@ def run_app(config: AppConfig, *, engine_cls: type[Engine] = Engine
     """Execute one configured WL-LSMS run on the simulator.
 
     ``engine_cls`` selects the scheduler implementation — the default
-    :class:`~repro.sim.Engine`, or e.g.
-    :class:`~repro.sim.SeedEngine` for determinism regressions.
+    :class:`~repro.sim.Engine`, or a factory that builds a configured
+    one (the fault fuzzer passes its fault plan and watchdog this way).
     """
     topo = config.topology
     model = config.model or gemini_model()

@@ -6,11 +6,7 @@ consolidation/placement, count and datatype inference, SPMD dataflow
 (send/receive sets per rank), and overlap legality.
 """
 
-from repro.core.analysis.independence import (
-    arrays_independent,
-    buffer_names,
-    names_independent,
-)
+from repro.core.analysis.independence import buffer_names
 from repro.core.analysis.infer import (
     infer_count_static,
     infer_element_type,
@@ -82,9 +78,7 @@ __all__ = [
     "WEAKENINGS",
     "VerifyReport",
     "verify_program",
-    "arrays_independent",
     "buffer_names",
-    "names_independent",
     "infer_count_static",
     "infer_element_type",
     "SyncPlan",

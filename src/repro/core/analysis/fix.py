@@ -38,7 +38,7 @@ from repro.core.pragma import parse_program
 from repro.errors import ReproError
 from repro.netmodel.base import MachineModel
 
-__all__ = ["FixResult", "FixStep", "fix_source", "fix_sources"]
+__all__ = ["FixResult", "FixStep", "fix_source"]
 
 #: Relative tolerance of the simulation gate: "does not regress" allows
 #: bit-level jitter but nothing observable.
@@ -181,33 +181,6 @@ def fix_source(source: str, *, nprocs: int = 8,
     result.source = current
     result.changed = current != source
     return result
-
-
-def fix_sources(sources: dict[str, str], *, nprocs: int = 8,
-                extra_vars: dict[str, int] | None = None,
-                model: MachineModel | None = None,
-                max_rounds: int = 16) -> dict[str, FixResult]:
-    """Batch :func:`fix_source` over named sources.
-
-    Keys are arbitrary labels (file names, generator seeds); the result
-    maps each back to its :class:`FixResult`. A source whose fix run
-    *raises* (rather than rejecting rewrites) gets an unchanged result
-    with the failure recorded as a rejected step — batch callers (the
-    ``repro.gen`` oracle) must see every program's verdict, not die on
-    the first pathological one.
-    """
-    out: dict[str, FixResult] = {}
-    for label, source in sources.items():
-        try:
-            out[label] = fix_source(source, nprocs=nprocs,
-                                    extra_vars=extra_vars, model=model,
-                                    max_rounds=max_rounds)
-        except ReproError as exc:
-            out[label] = FixResult(source=source, changed=False, steps=[
-                FixStep(code="", kind="error", line=0, signature="",
-                        predicted_saving_s=0.0, accepted=False,
-                        reason=f"fix run raised: {exc}")])
-    return out
 
 
 def _simulation_gate(prog: Program, new_prog: Program, nprocs: int,

@@ -4,22 +4,18 @@ Section III-A: "For every set of adjacent comm_p2p directives with
 independent buffers, synchronization is consolidated and reduced in
 most cases to one call at the end of all the adjacent communication."
 
-Two granularities:
-
-* **static** — by buffer *name*: adjacent instances are independent
-  when their sbuf/rbuf name sets are disjoint (a conservative symbolic
-  check; aliasing through pointers defeats it, which is exactly why the
-  paper prohibits pointers inside composite types);
-* **runtime** — by *memory*: ``numpy.shares_memory`` between the actual
-  arrays, used by the directive runtime before joining a consolidated
-  sync group.
+Independence here is by buffer *name*: adjacent instances are
+independent when their sbuf/rbuf name sets are disjoint (a conservative
+symbolic check; aliasing through pointers defeats it, which is exactly
+why the paper prohibits pointers inside composite types). The directive
+runtime checks independence by *memory* instead, with
+``numpy.shares_memory`` in :meth:`repro.core.region.PendingComm.overlaps`
+before a new instance joins a consolidated sync group.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-
-import numpy as np
+from collections.abc import Mapping
 
 from repro.core.ir import ClauseExprs, P2PNode
 
@@ -45,25 +41,6 @@ def base_identifier(buffer_expr: str) -> str:
         if idx != -1:
             e = e[:idx]
     return e.strip()
-
-
-def names_independent(a: ClauseExprs | set[str],
-                      b: ClauseExprs | set[str]) -> bool:
-    """Symbolic independence: no shared base buffer identifiers."""
-    sa = a if isinstance(a, set) else buffer_names(a)
-    sb = b if isinstance(b, set) else buffer_names(b)
-    return sa.isdisjoint(sb)
-
-
-def arrays_independent(a: Iterable[np.ndarray],
-                       b: Iterable[np.ndarray]) -> bool:
-    """Runtime independence: no pair of arrays shares memory."""
-    bl = list(b)
-    for x in a:
-        for y in bl:
-            if np.shares_memory(x, y):
-                return False
-    return True
 
 
 def independent_groups(instances: list[P2PNode],

@@ -63,7 +63,7 @@ from repro.sim.process import Env
 from repro.sim.stats import SimStats
 
 __all__ = ["ProgramSimError", "SimOutcome", "program_main",
-           "simulate_program", "simulate_all_targets"]
+           "simulate_program"]
 
 #: ``compute_us(<expr>)`` in raw code charges modeled microseconds.
 _COMPUTE = re.compile(r"\bcompute_us\s*\(([^()]*)\)")
@@ -206,21 +206,6 @@ def program_main(program: Program, *,
         ).reshape(-1).tolist() for name, buf in buffers.items()}
 
     return main
-
-
-def simulate_all_targets(program: Program, nprocs: int = 8, *,
-                         targets: "list[Target] | None" = None,
-                         **kwargs: Any) -> dict[str, SimOutcome]:
-    """Batch entry point: run the program once per lowering target.
-
-    ``kwargs`` are forwarded to :func:`simulate_program`; the result is
-    keyed by target keyword. A directive's explicit ``target`` clause
-    still wins inside each run, exactly as in the verifier sweep.
-    """
-    swept = list(targets) if targets else list(Target)
-    return {t.value: simulate_program(program, nprocs, target=t,
-                                      **kwargs)
-            for t in swept}
 
 
 # ---------------------------------------------------------------------------

@@ -751,8 +751,9 @@ def verify_all_targets(program: Program, nprocs: int = 8,
     findings that read no lowering (CI004/CI032 for failing partner
     clauses, stale reads and consolidation downgrades) are computed
     once over the walk and copied into each target's report; no
-    deadlock is reported at or after the first failing directive,
-    where the run aborts. The walk and the race
+    deadlock, mismatched lowering or race is reported at or after the
+    first failing directive, where the run aborts, and the race pass
+    runs unless a deadlock before it is an error. The walk and the race
     pass's target-independent accesses live in
     :data:`repro.core.analysis.hb.GRAPH_CACHE`, so re-sweeps of the
     same source (the differential oracle, the fix engine's proof gate,
@@ -782,17 +783,9 @@ def verify_all_targets(program: Program, nprocs: int = 8,
         graph = _build_graph(walk.tracers, nprocs, target)
         report.graph = graph
         clocks = hb.vector_clocks(graph)
-        deadlocks = _deadlock_diagnostics(graph, clocks, target,
-                                          loop_varying)
-        # A directive whose clauses fail on a rank posts nothing there,
-        # and the run aborts there: the halves the positional pairing
-        # misses from that directive on are its CI004/CI032 finding,
-        # not a deadlock.
-        report.diagnostics.extend(
-            d for d in deadlocks
-            if first_failure is None
-            or d.code not in ("CI001", "CI002", "CI003")
-            or (d.directive or d.line) < first_failure)
+        deadlocks = _before(first_failure, _deadlock_diagnostics(
+            graph, clocks, target, loop_varying))
+        report.diagnostics.extend(deadlocks)
         report.diagnostics.extend(_for_target(shared, target))
         if not any(d.severity == "error" for d in deadlocks):
             # The race pass orders events by their vector clocks; a
@@ -800,11 +793,27 @@ def verify_all_targets(program: Program, nprocs: int = 8,
             # reason over.
             if walk.accesses is None:
                 walk.accesses = WalkAccesses(program)
-            report.diagnostics.extend(race_diagnostics(
-                walk.tracers, clocks, target, loop_varying,
-                walk.accesses))
+            races = race_diagnostics(walk.tracers, clocks, target,
+                                     loop_varying, walk.accesses)
+            report.diagnostics.extend(_before(first_failure, races))
         report.diagnostics.sort(key=lambda d: d.sort_key())
     return reports
+
+
+def _before(first_failure: int | None,
+            diagnostics: list[Diagnostic]) -> list[Diagnostic]:
+    """The deadlock (CI001-CI003, CI007) or race (CI04x) findings whose
+    directive, else line, precedes the first failing directive.
+
+    A directive whose clauses fail on a rank posts nothing there, and
+    the run aborts there: the halves the positional pairing misses from
+    that directive on are its CI004/CI032 finding, and what the
+    unrolled snapshot shows after it never runs.
+    """
+    if first_failure is None:
+        return diagnostics
+    return [d for d in diagnostics
+            if (d.directive or d.line) < first_failure]
 
 
 def _for_target(diagnostics: list[Diagnostic],

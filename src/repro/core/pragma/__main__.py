@@ -36,16 +36,11 @@ from repro.core.analysis import (
 )
 from repro.core.analysis.lint import LintReport
 from repro.core.clauses import Target
+from repro.core.cli import TARGET_ALIASES, var_binding
 from repro.core.codegen import generate_c, generate_fortran
 from repro.core.pragma import parse_program
 from repro.errors import ReproError
 from repro.lintserve import ResultCache, lint_sources
-
-_TARGETS = {
-    "mpi2s": Target.MPI_2SIDE,
-    "mpi1s": Target.MPI_1SIDE,
-    "shmem": Target.SHMEM,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.core.pragma",
         description="Translate comm-directive pragmas to library calls.")
     parser.add_argument("input", help="annotated C-like source file")
-    parser.add_argument("--target", choices=sorted(_TARGETS),
+    parser.add_argument("--target", choices=sorted(TARGET_ALIASES),
                         default="mpi2s",
                         help="default translation target (a directive's "
                              "own target clause still wins)")
@@ -70,9 +65,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         program = parse_program(source)
         if args.fortran:
-            print(generate_fortran(program, _TARGETS[args.target]))
+            print(generate_fortran(program, TARGET_ALIASES[args.target]))
         else:
-            print(generate_c(program, _TARGETS[args.target]))
+            print(generate_c(program, TARGET_ALIASES[args.target]))
     except ReproError as exc:
         print(f"translation error: {exc}", file=sys.stderr)
         return 1
@@ -81,17 +76,6 @@ def main(argv: list[str] | None = None) -> int:
 
 # ---------------------------------------------------------------------------
 # repro-lint
-
-
-def _parse_vars(pairs: list[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep or not name:
-            raise ValueError(
-                f"--var expects name=value, got {pair!r}")
-        out[name] = int(value)
-    return out
 
 
 def _catalog_reports(targets: list[Target] | None = None,
@@ -155,14 +139,14 @@ def main_lint(argv: list[str] | None = None) -> int:
                         help="world size the programs are unrolled for "
                              "(default 8)")
     parser.add_argument("--var", action="append", default=[],
-                        metavar="NAME=VALUE",
+                        type=var_binding, metavar="NAME=VALUE",
                         help="bind a free clause-expression name "
                              "(repeatable)")
     parser.add_argument("--catalog", action="store_true",
                         help="also lint the built-in pattern catalog's "
                              "pragma texts (each at its own world size "
                              "and bindings)")
-    parser.add_argument("--target", choices=sorted(_TARGETS),
+    parser.add_argument("--target", choices=sorted(TARGET_ALIASES),
                         default=None,
                         help="restrict the verifier sweep to one "
                              "lowering target (default: all three)")
@@ -203,14 +187,10 @@ def main_lint(argv: list[str] | None = None) -> int:
         print("repro-lint: error: no inputs (give files or --catalog)",
               file=sys.stderr)
         return 2
-    try:
-        extra_vars = _parse_vars(args.var)
-    except ValueError as exc:
-        print(f"repro-lint: error: {exc}", file=sys.stderr)
-        return 2
+    extra_vars = dict(args.var)
     do_fix = args.fix or args.fix_dry_run
     advise = args.advise or do_fix
-    targets = [_TARGETS[args.target]] if args.target else None
+    targets = [TARGET_ALIASES[args.target]] if args.target else None
 
     # Every input is read before anything is linted, printed or
     # rewritten: a missing file is a usage error with no side effects.

@@ -31,12 +31,9 @@ from repro.faults.chaos import (
 from repro.faults.fuzz import (
     CASE_NAMES,
     FUZZ_TARGETS,
-    STATIC_TWINS,
     FuzzFailure,
-    StaticTwin,
     fuzz,
     fuzz_one,
-    static_twin_program,
     weaken_pending_sync,
 )
 from repro.faults.inject import FaultInjector
@@ -48,20 +45,17 @@ __all__ = [
     "FUZZ_TARGETS",
     "SOAK_CASES",
     "SOAK_NAMES",
-    "STATIC_TWINS",
     "ChaosFailure",
     "FaultInjector",
     "FaultPlan",
     "FuzzFailure",
     "RankCrash",
     "RankStall",
-    "StaticTwin",
     "Watchdog",
     "chaos_one",
     "chaos_plan",
     "chaos_soak",
     "fuzz",
     "fuzz_one",
-    "static_twin_program",
     "weaken_pending_sync",
 ]

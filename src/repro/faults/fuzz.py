@@ -31,7 +31,7 @@ bit-identically.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterator
 
@@ -309,47 +309,6 @@ def weaken_pending_sync(name: str) -> Iterator[None]:
         yield
     finally:
         _region.PendingComm.sync = original
-
-
-# -- static twins ----------------------------------------------------------
-#
-# Each fuzz pattern's registry text at the same world size with the same
-# bindings, which the static verifier unrolls: the runtime and the
-# static side read one program.
-
-@dataclass(frozen=True)
-class StaticTwin:
-    """A fuzz pattern as pragma source for the static verifier."""
-
-    name: str
-    source: str
-    nprocs: int
-    extra_vars: dict[str, int] = field(default_factory=dict)
-
-
-STATIC_TWINS: dict[str, StaticTwin] = {
-    **{spec.name: StaticTwin(spec.name, spec.source, spec.nprocs,
-                             spec.bindings)
-       for spec in map(get_pattern, PATTERN_NAMES)},
-    # wllsms quick mode moves the Listing-5 atom payload between the
-    # window master and group members; the annotated listing *is* the
-    # published static form of that transfer.
-    "wllsms": StaticTwin("wllsms", "", nprocs=8,
-                         extra_vars={"from_rank": 1, "to_rank": 0,
-                                     "size1": 1024, "size2": 16}),
-}
-
-
-def static_twin_program(name: str):
-    """Parse the twin for one fuzz pattern -> (Program, nprocs, vars)."""
-    from repro.core.pragma import parse_program
-
-    twin = STATIC_TWINS[name]
-    source = twin.source
-    if not source:  # wllsms: the annotated Listing 5 itself
-        from repro.bench.listings import LISTING5_ANNOTATED
-        source = LISTING5_ANNOTATED
-    return (parse_program(source), twin.nprocs, dict(twin.extra_vars))
 
 
 def fuzz(patterns=CASE_NAMES, targets=FUZZ_TARGETS, seeds=range(50),

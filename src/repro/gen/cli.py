@@ -31,6 +31,7 @@ from typing import Iterable
 
 from repro.core.analysis import hb
 from repro.core.clauses import Target
+from repro.core.cli import TARGET_ALIASES
 from repro.gen.generator import MODES, GeneratedProgram, generate_many
 from repro.gen.minimize import minimize_source
 from repro.gen.oracle import (
@@ -41,13 +42,6 @@ from repro.gen.oracle import (
 )
 
 __all__ = ["main", "build_parser"]
-
-#: Short target aliases accepted on the command line.
-_TARGET_ALIASES = {
-    "mpi1s": Target.MPI_1SIDE,
-    "mpi2s": Target.MPI_2SIDE,
-    "shmem": Target.SHMEM,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,7 +109,7 @@ def _parse_targets(spec: str | None) -> tuple[Target, ...]:
         word = word.strip()
         if not word:
             continue
-        out.append(_TARGET_ALIASES.get(word.lower(), None)
+        out.append(TARGET_ALIASES.get(word.lower(), None)
                    or Target.parse(word))
     if not out:
         raise SystemExit(2)

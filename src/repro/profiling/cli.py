@@ -35,30 +35,12 @@ import argparse
 import sys
 from typing import Any, Sequence
 
+from repro.core.cli import TARGET_ALIASES, var_binding
 from repro.patterns.catalog import PATTERNS
 from repro.profiling.chrome import export_chrome
 from repro.profiling.critpath import critical_path
 from repro.profiling.metrics import aggregate
 from repro.profiling.spans import Profile
-
-_TARGETS = {
-    "mpi2s": "TARGET_COMM_MPI_2SIDE",
-    "mpi1s": "TARGET_COMM_MPI_1SIDE",
-    "shmem": "TARGET_COMM_SHMEM",
-}
-
-
-def _parse_vars(pairs: list[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for pair in pairs:
-        name, eq, value = pair.partition("=")
-        if not eq or not name:
-            raise SystemExit(f"--var expects NAME=VALUE, got {pair!r}")
-        try:
-            out[name] = int(value)
-        except ValueError:
-            raise SystemExit(f"--var {name}: {value!r} is not an integer")
-    return out
 
 
 def _profile_program(program: Any, nprocs: int, target: str,
@@ -66,7 +48,7 @@ def _profile_program(program: Any, nprocs: int, target: str,
     from repro.core.analysis.progsim import simulate_program
 
     outcome = simulate_program(program, nprocs=nprocs,
-                               target=_TARGETS[target],
+                               target=TARGET_ALIASES[target],
                                extra_vars=extra_vars, profile=True)
     assert outcome.profile is not None
     return outcome.profile
@@ -86,8 +68,8 @@ def _profile_app(nprocs: int | None, target: str) -> Profile:
     from repro.apps.wllsms.app import AppConfig, run_app
 
     config = AppConfig(n_lsms=2, group_size=4, t=32, tc=4, wl_steps=2,
-                       variant="directive", target=_TARGETS[target],
-                       profile=True)
+                       variant="directive",
+                       target=TARGET_ALIASES[target].value, profile=True)
     if nprocs is not None and nprocs != config.nprocs:
         raise SystemExit(
             f"repro-trace: the quick WL-LSMS configuration runs on "
@@ -109,14 +91,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="profile a catalog communication pattern")
     parser.add_argument("--app", choices=["wllsms"],
                         help="profile an application (quick config)")
-    parser.add_argument("--target", choices=sorted(_TARGETS),
+    parser.add_argument("--target", choices=sorted(TARGET_ALIASES),
                         default="mpi2s",
                         help="lowering target (default: mpi2s)")
     parser.add_argument("--nprocs", type=int, default=None,
                         help="simulated world size (defaults: 8 for "
                              "sources, per-pattern otherwise)")
     parser.add_argument("--var", action="append", default=[],
-                        metavar="NAME=VALUE",
+                        type=var_binding, metavar="NAME=VALUE",
                         help="bind a free clause variable (repeatable)")
     parser.add_argument("--metrics", action="store_true",
                         help="print the per-rank/per-directive table "
@@ -135,7 +117,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.nprocs is not None and args.nprocs < 1:
         parser.error("--nprocs must be positive")
 
-    extra_vars = _parse_vars(args.var)
+    extra_vars = dict(args.var)
     if args.pattern is not None:
         spec = PATTERNS[args.pattern]
         profile = _profile_program(spec.program(),

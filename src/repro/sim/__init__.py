@@ -25,7 +25,6 @@ Key properties:
 
 from repro.sim.commstats import CommMatrix, comm_matrix
 from repro.sim.engine import Engine, RunResult
-from repro.sim.legacy import SeedEngine
 from repro.sim.process import Env
 from repro.sim.stats import SimStats
 from repro.sim.sync import Rendezvous
@@ -35,7 +34,6 @@ __all__ = [
     "comm_matrix",
     "Engine",
     "RunResult",
-    "SeedEngine",
     "Env",
     "SimStats",
     "Rendezvous",

@@ -29,9 +29,9 @@ times computed by the communication libraries' cost models. Causality is
 preserved because every wake time is ``max(waiter's clock, cause's
 completion time)`` — clocks are monotone per rank.
 
-The pre-heap seed scheduler is preserved as
-:class:`repro.sim.legacy.SeedEngine`; determinism regression tests run
-both and assert identical virtual-time results.
+Determinism regression tests pin this engine's span streams, finish
+times and makespans as exact goldens (``tests/sim/golden/``), recorded
+while the pre-heap seed scheduler still ran beside it and agreed.
 """
 
 from __future__ import annotations

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.analysis import (
-    arrays_independent,
     buffer_names,
     classify_pattern,
     comm_graph,
     infer_count_static,
     infer_element_type,
-    names_independent,
     overlap_legal,
     plan_synchronization,
     validate_matching,
@@ -30,6 +28,7 @@ from repro.core.ir import (
     Program,
     RawCode,
 )
+from repro.core.region import PendingComm
 from repro.dtypes import DOUBLE, INT, CompositeType, Field
 from repro.errors import ClauseError
 
@@ -53,25 +52,32 @@ class TestBaseIdentifier:
 
 
 class TestIndependence:
-    def test_disjoint_names_independent(self):
+    @staticmethod
+    def group_sizes(*nodes):
+        return [len(g) for g in independent_groups(
+            list(nodes), {id(n): n.clauses for n in nodes})]
+
+    def test_disjoint_names_share_a_group(self):
         a = p2p(["x"], ["y"])
         b = p2p(["u"], ["v"])
-        assert names_independent(a.clauses, b.clauses)
+        assert self.group_sizes(a, b) == [2]
 
     def test_shared_name_dependent(self):
         a = p2p(["x"], ["y"])
         b = p2p(["y"], ["z"])
-        assert not names_independent(a.clauses, b.clauses)
+        assert self.group_sizes(a, b) == [1, 1]
 
     def test_indexed_same_base_dependent(self):
         a = p2p(["&buf[0]"], ["out"])
         b = p2p(["&buf[1]"], ["out2"])
-        assert not names_independent(a.clauses, b.clauses)
+        assert self.group_sizes(a, b) == [1, 1]
 
-    def test_arrays_independent_runtime(self):
+    def test_runtime_overlap_is_by_memory(self):
+        """The runtime decides independence by memory, not by name."""
         base = np.zeros(10)
-        assert arrays_independent([base[:5]], [np.zeros(3)])
-        assert not arrays_independent([base[:5]], [base[4:]])
+        pending = PendingComm(buffers=[base[:5]])
+        assert not pending.overlaps([np.zeros(3)])
+        assert pending.overlaps([base[4:]])
 
     def test_independent_groups_partition(self):
         a = p2p(["a"], ["b"])

@@ -24,6 +24,10 @@ CLAUSE_FAILS_ON_ONE_RANK = MAX_COMM_ITER_OVERFLOW.with_name(
     "clause_fails_on_one_rank.c")
 CLAUSE_FAILS_BEFORE_CLEAN_RING = MAX_COMM_ITER_OVERFLOW.with_name(
     "clause_fails_before_clean_ring.c")
+CLAUSE_FAILS_BEFORE_SHMEM_RING = MAX_COMM_ITER_OVERFLOW.with_name(
+    "clause_fails_before_shmem_ring.c")
+CLAUSE_FAILS_AFTER_RACE = MAX_COMM_ITER_OVERFLOW.with_name(
+    "clause_fails_after_race.c")
 
 #: name -> (ring clauses whose partner values are no integer rank,
 #: nprocs, the CI004 message). ``/`` yields a float; at nprocs 2 the
@@ -249,6 +253,40 @@ class TestDiagnosticCodes:
             assert error.message.startswith("receiver clause on rank 2: ")
         with pytest.raises(SimProcessError) as info:
             simulate_program(parse_program(source), 4, target=target)
+        assert isinstance(info.value.original, ClauseError)
+
+    @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.name)
+    def test_clause_failing_before_shmem_ring_is_one_ci004(self, target):
+        """The ring after the failing directive is lowered to SHMEM:
+        pairing its halves against the ones rank 2 never posted is no
+        mismatched lowering (CI007) either. Lint sweeps every default
+        target, as ``repro-lint`` does: under a SHMEM default alone both
+        rings lower alike and nothing is mismatched."""
+        source = CLAUSE_FAILS_BEFORE_SHMEM_RING.read_text(encoding="utf-8")
+        verified = verify_program(parse_program(source), nprocs=8,
+                                  target=target)
+        linted = lint_program(parse_program(source), nprocs=8)
+        for report in (verified, linted):
+            assert [(d.code, d.line) for d in report.errors] == [
+                ("CI004", 17)]
+        with pytest.raises(SimProcessError) as info:
+            simulate_program(parse_program(source), 8, target=target)
+        assert isinstance(info.value.original, ClauseError)
+
+    @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.name)
+    def test_clause_failing_after_race_keeps_the_race(self, target):
+        """The deadlocks cut at the failing directive do not switch the
+        race pass off: the send-buffer reuse before it is still CI041."""
+        source = CLAUSE_FAILS_AFTER_RACE.read_text(encoding="utf-8")
+        verified = verify_program(parse_program(source), nprocs=8,
+                                  target=target)
+        linted = lint_program(parse_program(source), nprocs=8,
+                              targets=[target])
+        for report in (verified, linted):
+            assert {(d.code, d.line) for d in report.errors} == {
+                ("CI004", 31), ("CI041", 26)}
+        with pytest.raises(SimProcessError) as info:
+            simulate_program(parse_program(source), 8, target=target)
         assert isinstance(info.value.original, ClauseError)
 
     @pytest.mark.parametrize("name", sorted(NON_INTEGER_RANKS))

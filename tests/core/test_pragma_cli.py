@@ -161,6 +161,18 @@ double b[8];
     assert "shift" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", ["k", "=1", "k=x"])
+def test_lint_bad_var_is_usage_error(bad, capsys):
+    """A malformed binding exits 2 before anything is linted, and the
+    message names the flag."""
+    with pytest.raises(SystemExit) as info:
+        main_lint(["--catalog", "--var", bad])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --var" in captured.err
+    assert captured.out == ""
+
+
 def test_lint_catalog_is_clean(capsys):
     assert main_lint(["--catalog"]) == 0
     out = capsys.readouterr().out

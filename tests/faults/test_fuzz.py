@@ -6,17 +6,14 @@ run time must also be refuted by the static verifier."""
 import pytest
 
 import repro.core.region as region
+from repro.bench.listings import LISTING5_ANNOTATED
 from repro.core.analysis.codes import DEADLOCK_CODES, STALE_READ_CODES
 from repro.core.analysis.verify import WEAKENINGS, verify_program
+from repro.core.pragma import parse_program
 from repro.faults import CASE_NAMES, FUZZ_TARGETS, FaultPlan, fuzz, fuzz_one
-from repro.faults.fuzz import (
-    CASES,
-    STATIC_TWINS,
-    _diff,
-    static_twin_program,
-    weaken_pending_sync,
-)
+from repro.faults.fuzz import CASES, _diff, weaken_pending_sync
 from repro.faults.watchdog import Watchdog
+from repro.patterns.catalog import get_pattern
 
 QUICK_PATTERNS = ("ring", "evenodd")
 
@@ -99,6 +96,21 @@ _REFUTING = DEADLOCK_CODES | STALE_READ_CODES
 _XCHECK_WATCHDOG = Watchdog(wall_timeout=20.0, stall_events=1_000_000)
 
 
+def _static_program(pattern):
+    """A fuzz case's static form -> ``(Program, nprocs, extra_vars)``.
+
+    A pattern case runs its registry text, so the verifier reads that
+    text at the registry's world size and bindings. WL-LSMS quick mode
+    moves the Listing-5 atom payload between the window master and a
+    group member; the annotated listing is the published static form
+    of that transfer."""
+    if pattern == "wllsms":
+        return (parse_program(LISTING5_ANNOTATED), 8,
+                {"from_rank": 1, "to_rank": 0, "size1": 1024, "size2": 16})
+    spec = get_pattern(pattern)
+    return parse_program(spec.source), spec.nprocs, dict(spec.bindings)
+
+
 @pytest.fixture(scope="module")
 def dynamic_baselines():
     """Unfaulted reference results, one per (pattern, target)."""
@@ -119,16 +131,16 @@ class TestStaticDynamicCrossCheck:
     weakened sync plans the dynamic fuzzer catches — and no false
     positives on the unweakened plans."""
 
-    @pytest.mark.parametrize("pattern", sorted(STATIC_TWINS))
+    @pytest.mark.parametrize("pattern", sorted(CASE_NAMES))
     @pytest.mark.parametrize("target", FUZZ_TARGETS)
     def test_unweakened_twin_verifies_clean(self, pattern, target):
-        program, nprocs, extra_vars = static_twin_program(pattern)
+        program, nprocs, extra_vars = _static_program(pattern)
         report = verify_program(program, nprocs=nprocs, target=target,
                                 extra_vars=extra_vars)
         assert report.errors == [], \
             "\n".join(str(d) for d in report.errors)
 
-    @pytest.mark.parametrize("pattern", sorted(STATIC_TWINS))
+    @pytest.mark.parametrize("pattern", sorted(CASE_NAMES))
     @pytest.mark.parametrize("target", FUZZ_TARGETS)
     @pytest.mark.parametrize("weakening", WEAKENINGS)
     def test_dynamically_caught_implies_statically_flagged(
@@ -144,7 +156,7 @@ class TestStaticDynamicCrossCheck:
             f"{failure}")
         if failure is None:
             return
-        program, nprocs, extra_vars = static_twin_program(pattern)
+        program, nprocs, extra_vars = _static_program(pattern)
         report = verify_program(program, nprocs=nprocs, target=target,
                                 extra_vars=extra_vars,
                                 weakening=weakening)

@@ -15,7 +15,8 @@ import os
 import pytest
 
 from repro.core.analysis.lint import lint_program
-from repro.core.analysis.progsim import simulate_all_targets
+from repro.core.analysis.progsim import simulate_program
+from repro.core.clauses import Target
 from repro.core.pragma import parse_program
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "..",
@@ -55,8 +56,10 @@ def test_lint_verdict(name):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_dynamic_races(name):
     spec = EXPECTED[name]["dynamic"]
-    outcomes = simulate_all_targets(_load(name), spec["nprocs"],
-                                    sanitize="collect", capture=False)
+    program = _load(name)
+    outcomes = {t.value: simulate_program(program, spec["nprocs"], target=t,
+                                          sanitize="collect", capture=False)
+                for t in Target}
     observed = {key: len(out.races)
                 for key, out in outcomes.items() if out.races}
     assert observed == spec["races"], (

@@ -44,8 +44,11 @@ class TestReproTrace:
 
     def test_var_binding(self, capsys):
         assert main(["examples/pragmas/halo1d.c", "--var", "n=64"]) == 0
-        with pytest.raises(SystemExit):
-            main(["examples/pragmas/ring.c", "--var", "bogus"])
+        for bad in ("bogus", "n=x"):
+            with pytest.raises(SystemExit) as info:
+                main(["examples/pragmas/ring.c", "--var", bad])
+            assert info.value.code == 2
+            assert "argument --var" in capsys.readouterr().err
 
     def test_app_mode(self, capsys):
         assert main(["--app", "wllsms", "--critical-path"]) == 0

@@ -1,14 +1,31 @@
-"""Scheduler-equivalence regression: heap engine vs the seed engine.
+"""Scheduler determinism: exact goldens of the engine's observables.
 
 The heap ready queue and direct baton handoff must not change *any*
 observable of a run — dispatch order, span streams, virtual completion
-times — only host wall-clock. These tests pin that equivalence on a
-message-heavy synthetic workload and on the paper's WL-LSMS
-application (quick mode), so a future scheduler change that perturbs
-the deterministic ``(virtual time, rank)`` order fails loudly.
+times — only host wall-clock. These tests pin those observables on a
+message-heavy synthetic ring and on the paper's WL-LSMS application
+(quick mode) as exact goldens in ``tests/sim/golden/determinism.json``,
+so a future scheduler change that perturbs the deterministic
+``(virtual time, rank)`` order fails loudly. Floats are stored as
+:meth:`float.hex`; the span stream as its length plus a sha256 of the
+``repr`` of its ``(rank, kind, t0, t1, attrs)`` tuples.
+
+The golden was recorded while the pre-heap seed scheduler (linear ready
+scans, a scheduler bounce per slice) still existed, and both schedulers
+produced every value in it. A negative control checks that the span
+comparison sees dispatch order: reverse-rank tie breaking records the
+same spans in another order and fails the golden. After an intended
+scheduler change, re-pin it with
+``PYTHONPATH=src python tests/sim/test_determinism.py`` and say why in
+the change description.
 """
 
+from __future__ import annotations
+
+import hashlib
 import heapq
+import json
+import os
 
 import numpy as np
 import pytest
@@ -16,10 +33,22 @@ import pytest
 from repro import mpi
 from repro.apps.wllsms import AppConfig, run_app
 from repro.netmodel import gemini_model
-from repro.sim import Engine, SeedEngine
+from repro.sim import Engine
 from repro.sim.engine import ProcState
 
 _MODEL = gemini_model()
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "golden", "determinism.json")
+
+RING_NPROCS = (2, 5, 16)
+SPAN_NPROCS = 8
+QUICK = dict(n_lsms=2, group_size=4, t=32, tc=4, wl_steps=2)
+VARIANTS = (
+    ("original", "TARGET_COMM_MPI_2SIDE"),
+    ("waitall", "TARGET_COMM_MPI_2SIDE"),
+    ("directive", "TARGET_COMM_MPI_2SIDE"),
+    ("directive", "TARGET_COMM_SHMEM"),
+)
 
 
 class _ReverseTieEngine(Engine):
@@ -51,10 +80,8 @@ class _ReverseTieEngine(Engine):
         return False
 
 
-def _span_stream(engine_cls, nprocs=8):
-    """The ordered ``(rank, kind, t0, t1, attrs)`` spans of one ring run."""
-    res = engine_cls(nprocs, profile=True).run(_ring_main)
-    return [(s.rank, s.kind, s.t0, s.t1, s.attrs) for s in res.profile]
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
 
 
 def _ring_main(env):
@@ -69,51 +96,83 @@ def _ring_main(env):
     return env.now
 
 
+def _ring(nprocs: int) -> dict:
+    res = Engine(nprocs).run(_ring_main)
+    return {"values": _hex(res.values),
+            "finish_times": _hex(res.finish_times),
+            "makespan": res.makespan.hex()}
+
+
+def _span_stream(engine_cls, nprocs: int = SPAN_NPROCS) -> list[tuple]:
+    """The ordered ``(rank, kind, t0, t1, attrs)`` spans of one ring run."""
+    res = engine_cls(nprocs, profile=True).run(_ring_main)
+    return [(s.rank, s.kind, s.t0, s.t1, s.attrs) for s in res.profile]
+
+
+def _span_digest(spans: list[tuple]) -> dict:
+    return {"length": len(spans),
+            "sha256": hashlib.sha256(repr(spans).encode()).hexdigest()}
+
+
+def _wllsms(variant: str, target: str) -> dict:
+    cfg = AppConfig(variant=variant, target=target, model=_MODEL, **QUICK)
+    res = run_app(cfg)
+    return {"makespan": res.makespan.hex(),
+            "finish_times": _hex(res.finish_times),
+            "group_energies": _hex(res.group_energies),
+            "ln_g": _hex(res.wang_landau.ln_g)}
+
+
+def collect() -> dict:
+    """Every pinned observable, in the golden's shape."""
+    return {
+        "ring": {str(n): _ring(n) for n in RING_NPROCS},
+        "spans": _span_digest(_span_stream(Engine)),
+        "wllsms": {f"{v}/{t}": _wllsms(v, t) for v, t in VARIANTS},
+    }
+
+
+def _golden() -> dict:
+    with open(_GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 class TestRingEquivalence:
-    @pytest.mark.parametrize("nprocs", [2, 5, 16])
+    @pytest.mark.parametrize("nprocs", RING_NPROCS)
     def test_results_identical(self, nprocs):
-        new = Engine(nprocs).run(_ring_main)
-        old = SeedEngine(nprocs).run(_ring_main)
-        assert new.values == old.values
-        assert new.finish_times == old.finish_times
-        assert new.makespan == old.makespan
+        assert _ring(nprocs) == _golden()["ring"][str(nprocs)]
 
     def test_traces_identical(self):
         """Span-by-span: same ranks, kinds, intervals and attributes in
-        the same recording order — the dispatch sequence itself is
-        unchanged."""
-        new = _span_stream(Engine)
-        assert new
-        assert new == _span_stream(SeedEngine)
+        the same recording order — the dispatch sequence itself."""
+        spans = _span_stream(Engine)
+        assert spans
+        assert _span_digest(spans) == _golden()["spans"]
 
     def test_span_stream_sees_tie_order(self):
-        """The comparison above is sensitive to dispatch order: the
-        same ring under reverse-rank tie breaking records the same
-        spans in a different order."""
-        new = _span_stream(Engine)
+        """The span golden is sensitive to dispatch order: the same ring
+        under reverse-rank tie breaking records the same spans in a
+        different order, and its digest misses the golden."""
+        spans = _span_stream(Engine)
         reversed_ties = _span_stream(_ReverseTieEngine)
-        assert sorted(map(repr, new)) == sorted(map(repr, reversed_ties))
-        assert new != reversed_ties
+        assert sorted(map(repr, spans)) == sorted(map(repr, reversed_ties))
+        golden = _golden()["spans"]
+        assert _span_digest(reversed_ties)["length"] == golden["length"]
+        assert _span_digest(reversed_ties) != golden
 
 
 class TestWlLsmsEquivalence:
-    """Acceptance criterion: identical makespan and finish times for
-    the WL-LSMS demo (quick mode) before and after the change."""
+    """Makespan, finish times, group energies and ``ln_g`` of the
+    WL-LSMS demo (quick mode) on each variant."""
 
-    QUICK = dict(n_lsms=2, group_size=4, t=32, tc=4, wl_steps=2,
-                 model=gemini_model())
-
-    @pytest.mark.parametrize("variant,target", [
-        ("original", "TARGET_COMM_MPI_2SIDE"),
-        ("waitall", "TARGET_COMM_MPI_2SIDE"),
-        ("directive", "TARGET_COMM_MPI_2SIDE"),
-        ("directive", "TARGET_COMM_SHMEM"),
-    ])
+    @pytest.mark.parametrize("variant,target", VARIANTS)
     def test_variant_equivalent(self, variant, target):
-        cfg = AppConfig(variant=variant, target=target, **self.QUICK)
-        new = run_app(cfg, engine_cls=Engine)
-        old = run_app(cfg, engine_cls=SeedEngine)
-        assert new.makespan == old.makespan
-        assert new.finish_times == old.finish_times
-        assert new.group_energies == old.group_energies
-        assert np.array_equal(new.wang_landau.ln_g, old.wang_landau.ln_g)
+        got = _wllsms(variant, target)
+        assert got == _golden()["wllsms"][f"{variant}/{target}"]
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(_GOLDEN), exist_ok=True)
+    with open(_GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(collect(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
