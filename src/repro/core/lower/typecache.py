@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dtypes.primitives import from_numpy_dtype
 from repro.mpi.comm import Comm
 from repro.mpi.datatypes import Datatype, Type_create_struct, basic
 from repro.sim.engine import Engine
@@ -42,25 +43,12 @@ def _triples_from_dtype(dtype: np.dtype) -> tuple[list, list, list]:
             else:
                 blocklengths.append(count)
                 displacements.append(base + offset)
-                types.append(_basic_for(elem))
+                # Each field's basic type is its dtypes primitive; a
+                # field with no C primitive raises DatatypeError.
+                types.append(basic(from_numpy_dtype(elem).mpi_name))
 
     emit(dtype, 0)
     return blocklengths, displacements, types
-
-
-def _basic_for(elem: np.dtype) -> Datatype:
-    kind_map = {
-        ("i", 1): "MPI_CHAR", ("u", 1): "MPI_BYTE",
-        ("i", 4): "MPI_INT", ("i", 8): "MPI_LONG",
-        ("f", 4): "MPI_FLOAT", ("f", 8): "MPI_DOUBLE",
-    }
-    name = kind_map.get((elem.kind, elem.itemsize))
-    if name is None:
-        # i2/u2/u4/u8 map onto same-width basics for transfer purposes.
-        fallback = {1: "MPI_CHAR", 2: "MPI_CHAR", 4: "MPI_INT",
-                    8: "MPI_LONG"}
-        name = fallback.get(elem.itemsize, "MPI_BYTE")
-    return basic(name)
 
 
 class TypeCache:

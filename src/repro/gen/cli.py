@@ -32,6 +32,7 @@ from typing import Iterable
 from repro.core.analysis import hb
 from repro.core.clauses import Target
 from repro.core.cli import TARGET_ALIASES
+from repro.errors import ClauseError
 from repro.gen.generator import MODES, GeneratedProgram, generate_many
 from repro.gen.minimize import minimize_source
 from repro.gen.oracle import (
@@ -65,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = parser.add_argument_group("differential run")
     run.add_argument("--diff", action="store_true",
                      help="run the static/dynamic oracle on each program")
-    run.add_argument("--targets", default=None, metavar="T[,T...]",
+    run.add_argument("--targets", type=_parse_targets,
+                     default=tuple(Target), metavar="T[,T...]",
                      help="lowering targets to sweep (mpi1s, mpi2s, "
                           "shmem or full keywords; default: all)")
     run.add_argument("--fuzz-seeds", type=int, default=2, metavar="N",
@@ -101,18 +103,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_targets(spec: str | None) -> tuple[Target, ...]:
-    if spec is None:
-        return tuple(Target)
+def _parse_targets(spec: str) -> tuple[Target, ...]:
+    """argparse ``type`` of ``--targets``: comma-separated short aliases
+    (:data:`repro.core.cli.TARGET_ALIASES`) or target keywords."""
+    accepted = ", ".join([*TARGET_ALIASES, *(t.value for t in Target)])
+    words = [word.strip() for word in spec.split(",") if word.strip()]
+    if not words:
+        raise argparse.ArgumentTypeError(
+            f"names no target; accepts {accepted}")
     out = []
-    for word in spec.split(","):
-        word = word.strip()
-        if not word:
-            continue
-        out.append(TARGET_ALIASES.get(word.lower(), None)
-                   or Target.parse(word))
-    if not out:
-        raise SystemExit(2)
+    for word in words:
+        target = TARGET_ALIASES.get(word.lower())
+        if target is None:
+            try:
+                target = Target.parse(word)
+            except ClauseError:
+                raise argparse.ArgumentTypeError(
+                    f"unknown target {word!r}; accepts {accepted}"
+                ) from None
+        out.append(target)
     return tuple(out)
 
 
@@ -192,11 +201,7 @@ def _minimize_one(gp: GeneratedProgram, disagreement: Disagreement,
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     ns = build_parser().parse_args(argv)
-    try:
-        targets = _parse_targets(ns.targets)
-    except Exception as exc:
-        print(f"repro-gen: {exc}", file=sys.stderr)
-        return 2
+    targets = ns.targets
     programs = _programs(ns)
     out_dir = ns.out or Path("examples/pragmas/generated")
 

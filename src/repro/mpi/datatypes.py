@@ -85,18 +85,20 @@ def _basic(p: PrimitiveType) -> Datatype:
     return Datatype(p.mpi_name, p.size, primitive=p)
 
 
-CHAR = _basic(_prims.CHAR)
-INT = _basic(_prims.INT)
-LONG = _basic(_prims.LONG)
-FLOAT = _basic(_prims.FLOAT)
-DOUBLE = _basic(_prims.DOUBLE)
+#: One basic type per :mod:`repro.dtypes` primitive, by MPI name.
+_BASIC_BY_NAME = {p.mpi_name: _basic(p)
+                  for p in _prims.PRIMITIVES.values()}
+
+CHAR = _BASIC_BY_NAME["MPI_CHAR"]
+INT = _BASIC_BY_NAME["MPI_INT"]
+LONG = _BASIC_BY_NAME["MPI_LONG"]
+FLOAT = _BASIC_BY_NAME["MPI_FLOAT"]
+DOUBLE = _BASIC_BY_NAME["MPI_DOUBLE"]
 #: Raw bytes (``MPI_BYTE``).
 BYTE = Datatype("MPI_BYTE", 1, primitive=_prims.UNSIGNED_CHAR)
 #: The type of `Pack`ed buffers (``MPI_PACKED``).
 PACKED = Datatype("MPI_PACKED", 1, primitive=_prims.UNSIGNED_CHAR)
-
-_BASIC_BY_NAME = {t.name: t for t in (CHAR, INT, LONG, FLOAT, DOUBLE, BYTE,
-                                      PACKED)}
+_BASIC_BY_NAME.update({BYTE.name: BYTE, PACKED.name: PACKED})
 
 
 def basic(name: str) -> Datatype:

@@ -7,10 +7,10 @@ neighbours, halo exchanges, pipelines and hub (fan-in/fan-out)
 transfers. Each pattern here is written once as pragma-annotated
 source (its module's ``SOURCE``), the one program the fuzzer, the
 chaos soak, ``repro-trace --pattern``, the static verifier and
-``repro-lint --catalog`` run or analyse, plus two library forms:
-hand-written MPI and the directive DSL. Tests assert the two library
-forms compute identical data and that the DSL form moves the bytes the
-text does; the benchmark harness compares their modelled cost.
+``repro-lint --catalog`` run or analyse, plus the hand-written MPI
+code it replaces. Tests assert that the text, lowered to each target,
+delivers the data and moves the bytes the hand-written form does, and
+compare their modelled cost.
 """
 
 from repro.patterns.catalog import PATTERNS, PatternSpec, get_pattern

@@ -15,8 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import mpi
-from repro.core import comm_p2p, comm_parameters
-from repro.sim.process import Env
 
 NAME = "butterfly"
 
@@ -50,30 +48,6 @@ def _check_power_of_two(size: int) -> int:
         raise ValueError(
             f"butterfly needs a power-of-two process count, got {size}")
     return rounds
-
-
-def run_directive(env: Env, contribution: float) -> np.ndarray:
-    """Allgather by recursive doubling; returns the assembled vector."""
-    size, rank = env.size, env.rank
-    rounds = _check_power_of_two(size)
-    data = np.zeros(size)
-    data[rank] = contribution
-    owned_lo, owned_n = rank, 1
-    for k in range(rounds):
-        partner = rank ^ (1 << k)
-        # The owned block is [lo, lo+n); after the exchange both sides
-        # own the union, aligned to the lower index.
-        send_block = np.ascontiguousarray(data[owned_lo:owned_lo
-                                               + owned_n])
-        their_lo = owned_lo ^ (1 << k)
-        recv_block = np.zeros(owned_n)
-        with comm_parameters(env, sender=partner, receiver=partner):
-            with comm_p2p(env, sbuf=send_block, rbuf=recv_block):
-                pass
-        data[their_lo:their_lo + owned_n] = recv_block
-        owned_lo = min(owned_lo, their_lo)
-        owned_n *= 2
-    return data
 
 
 def run_mpi(comm: mpi.Comm, contribution: float) -> np.ndarray:

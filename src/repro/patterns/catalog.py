@@ -1,9 +1,9 @@
-"""Pattern registry: name -> spec with its pragma text and both
-library implementations.
+"""Pattern registry: name -> spec with its pragma text and its
+hand-written MPI reference.
 
 Each pattern's annotated source text (``SOURCE`` in its module) is its
-one definition outside the library DSL: the sync-plan fuzzer and the
-chaos soak replay it through the program simulator
+one directive definition: the sync-plan fuzzer and the chaos soak
+replay it through the program simulator
 (:func:`repro.core.analysis.progsim.program_main`), ``repro-trace
 --pattern`` profiles it, the static verifier unrolls it as the fuzz
 pattern's twin, and ``repro-lint --catalog`` lints it. The registry
@@ -35,15 +35,14 @@ def power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """One recurring pattern: its pragma text and two library forms."""
+    """One recurring pattern: its pragma text and the hand-written MPI
+    code it replaces."""
 
     name: str
     #: The pattern as pragma-annotated source.
     source: str
     #: World size the text is written for.
     nprocs: int
-    #: Directive-based runtime implementation.
-    run_directive: Callable[..., None]
     #: Hand-written MPI implementation.
     run_mpi: Callable[..., None]
     #: The classification the dataflow analysis should produce.
@@ -77,42 +76,28 @@ class PatternSpec:
 
 PATTERNS: dict[str, PatternSpec] = {
     ring.NAME: PatternSpec(
-        ring.NAME, ring.SOURCE, 5, ring.run_directive, ring.run_mpi,
-        expected_class="ring"),
+        ring.NAME, ring.SOURCE, 5, ring.run_mpi, expected_class="ring"),
     evenodd.NAME: PatternSpec(
-        evenodd.NAME, evenodd.SOURCE, 6, evenodd.run_directive,
-        evenodd.run_mpi, expected_class="pairwise"),
+        evenodd.NAME, evenodd.SOURCE, 6, evenodd.run_mpi,
+        expected_class="pairwise"),
     halo.NAME: PatternSpec(
-        halo.NAME, halo.SOURCE, 4, halo.run_directive, halo.run_mpi,
-        expected_class="shift"),
+        halo.NAME, halo.SOURCE, 4, halo.run_mpi, expected_class="shift"),
     pipeline.NAME: PatternSpec(
-        pipeline.NAME, pipeline.SOURCE, 4, pipeline.run_directive,
-        pipeline.run_mpi, expected_class="shift", bindings={"n": 4}),
+        pipeline.NAME, pipeline.SOURCE, 4, pipeline.run_mpi,
+        expected_class="shift", bindings={"n": 4}),
     fan.NAME_OUT: PatternSpec(
-        fan.NAME_OUT, fan.FANOUT_SOURCE, 5, fan.run_fanout_directive,
-        fan.run_fanout_mpi, expected_class="fan-out"),
+        fan.NAME_OUT, fan.FANOUT_SOURCE, 5, fan.run_fanout_mpi,
+        expected_class="fan-out"),
     fan.NAME_IN: PatternSpec(
-        fan.NAME_IN, fan.FANIN_SOURCE, 5, fan.run_fanin_directive,
-        fan.run_fanin_mpi, expected_class="fan-in"),
+        fan.NAME_IN, fan.FANIN_SOURCE, 5, fan.run_fanin_mpi,
+        expected_class="fan-in"),
     halo2d.NAME: PatternSpec(
-        halo2d.NAME, halo2d.SOURCE, 6, halo2d.run_directive,
-        halo2d.run_mpi, expected_class="shift",
-        bindings={"px": halo2d.grid_shape(6)[1]}),
+        halo2d.NAME, halo2d.SOURCE, 6, halo2d.run_mpi,
+        expected_class="shift", bindings={"px": halo2d.grid_shape(6)[1]}),
     butterfly.NAME: PatternSpec(
-        butterfly.NAME, butterfly.SOURCE, 4, butterfly.run_directive,
-        butterfly.run_mpi, expected_class="pairwise",
-        valid_world=power_of_two),
+        butterfly.NAME, butterfly.SOURCE, 4, butterfly.run_mpi,
+        expected_class="pairwise", valid_world=power_of_two),
 }
-
-
-def valid_world_of(name: str) -> Callable[[int], bool] | None:
-    """The world-size predicate one pattern imposes on shrink, if any.
-
-    Suitable directly as :attr:`repro.recovery.RecoveryConfig.
-    valid_world`; names outside the registry fall back to ``None``.
-    """
-    spec = PATTERNS.get(name)
-    return spec.valid_world if spec is not None else None
 
 
 def get_pattern(name: str) -> PatternSpec:

@@ -8,8 +8,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import mpi
-from repro.core import comm_p2p
-from repro.sim.process import Env
 
 NAME = "evenodd"
 
@@ -28,19 +26,6 @@ out[0] = rank + 1;
 }
 consume(inb);
 """
-
-
-def run_directive(env: Env, out: np.ndarray, inb: np.ndarray) -> None:
-    """Listing 2: evens send to the next odd rank."""
-    # The boundary guard keeps the last even rank of an odd-sized world
-    # from addressing a non-existent receiver (the paper's example
-    # implicitly assumes an even process count).
-    with comm_p2p(env, sbuf=out, rbuf=inb,
-                  sender=env.rank - 1,
-                  receiver=min(env.rank + 1, env.size - 1),
-                  sendwhen=env.rank % 2 == 0 and env.rank + 1 < env.size,
-                  receivewhen=env.rank % 2 == 1):
-        pass
 
 
 def run_mpi(comm: mpi.Comm, out: np.ndarray, inb: np.ndarray) -> None:

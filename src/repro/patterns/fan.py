@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import mpi
-from repro.core import comm_p2p, comm_parameters
-from repro.sim.process import Env
 
 NAME_OUT = "fanout"
 NAME_IN = "fanin"
@@ -65,24 +63,6 @@ consume(col1, col2, col3, col4);
 """
 
 
-def run_fanout_directive(env: Env, root: int, data: np.ndarray | None,
-                         mine: np.ndarray) -> None:
-    """Root sends row ``p`` of ``data`` to rank ``p``; others receive."""
-    with comm_parameters(env, sender=root,
-                         place_sync="END_PARAM_REGION"):
-        for peer in range(env.size):
-            if peer == root:
-                continue
-            row = data[peer] if env.rank == root else mine
-            with comm_p2p(env, receiver=peer,
-                          sendwhen=env.rank == root,
-                          receivewhen=env.rank == peer,
-                          sbuf=np.ascontiguousarray(row), rbuf=mine):
-                pass
-    if env.rank == root:
-        mine[...] = data[root]
-
-
 def run_fanout_mpi(comm: mpi.Comm, root: int, data: np.ndarray | None,
                    mine: np.ndarray) -> None:
     """Hand-written fan-out with per-request waits."""
@@ -94,24 +74,6 @@ def run_fanout_mpi(comm: mpi.Comm, root: int, data: np.ndarray | None,
         mine[...] = data[root]
     else:
         comm.Recv(mine, source=root, tag=105)
-
-
-def run_fanin_directive(env: Env, root: int, mine: np.ndarray,
-                        collected: np.ndarray | None) -> None:
-    """Every rank sends its buffer to the root's row ``rank``."""
-    with comm_parameters(env, receiver=root,
-                         place_sync="END_PARAM_REGION"):
-        for peer in range(env.size):
-            if peer == root:
-                continue
-            row = collected[peer] if env.rank == root else mine
-            with comm_p2p(env, sender=peer,
-                          sendwhen=env.rank == peer,
-                          receivewhen=env.rank == root,
-                          sbuf=mine, rbuf=np.ascontiguousarray(row)):
-                pass
-    if env.rank == root:
-        collected[root][...] = mine
 
 
 def run_fanin_mpi(comm: mpi.Comm, root: int, mine: np.ndarray,

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import mpi
-from repro.core import comm_p2p, comm_parameters
-from repro.sim.process import Env
 
 NAME = "halo1d"
 
@@ -33,27 +31,6 @@ left_edge[0] = rank + 101;
 }
 stencil(left_halo, right_halo);
 """
-
-
-def run_directive(env: Env, interior: np.ndarray,
-                  left_halo: np.ndarray, right_halo: np.ndarray) -> None:
-    """Exchange edges with both neighbours, one consolidated sync."""
-    rank, size = env.rank, env.size
-    right_edge = np.ascontiguousarray(interior[-left_halo.size:])
-    left_edge = np.ascontiguousarray(interior[:right_halo.size])
-    with comm_parameters(env):
-        with comm_p2p(env,
-                      sender=max(rank - 1, 0),
-                      receiver=min(rank + 1, size - 1),
-                      sendwhen=rank < size - 1, receivewhen=rank > 0,
-                      sbuf=right_edge, rbuf=left_halo):
-            pass
-        with comm_p2p(env,
-                      sender=min(rank + 1, size - 1),
-                      receiver=max(rank - 1, 0),
-                      sendwhen=rank > 0, receivewhen=rank < size - 1,
-                      sbuf=left_edge, rbuf=right_halo):
-            pass
 
 
 def run_mpi(comm: mpi.Comm, interior: np.ndarray,

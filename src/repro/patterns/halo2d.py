@@ -3,9 +3,9 @@
 The four-direction generalization of :mod:`repro.patterns.halo`: ranks
 form a ``py x px`` Cartesian grid and exchange edge strips with up to
 four neighbours — the dominant pattern of the structured-grid codes
-the paper's pattern studies characterize. All eight directives (four
-directions, send+receive roles) sit in a single ``comm_parameters``
-region: one consolidated synchronization per rank per exchange.
+the paper's pattern studies characterize. The four directives (one
+shift per direction) sit in a single ``comm_parameters`` region: one
+consolidated synchronization per rank per exchange.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import mpi
-from repro.core import comm_p2p, comm_parameters
-from repro.sim.process import Env
 
 NAME = "halo2d"
 
@@ -85,29 +83,6 @@ class HaloBuffers:
 
 _OPPOSITE = {"north": "south", "south": "north",
              "west": "east", "east": "west"}
-
-
-def run_directive(env: Env, block: np.ndarray, bufs: HaloBuffers,
-                  py: int, px: int) -> None:
-    """Exchange all four halos with one consolidated sync."""
-    nbr = neighbours(env.rank, py, px)
-    edges = bufs.edges(block)
-    with comm_parameters(env):
-        for direction in ("north", "south", "west", "east"):
-            peer = nbr[direction]
-            back = _OPPOSITE[direction]
-            # I send my `direction` edge to that neighbour; I receive
-            # into my `direction` halo what that neighbour sends back
-            # from its `back` edge.
-            with comm_p2p(env,
-                          sender=peer if peer is not None else env.rank,
-                          receiver=peer if peer is not None
-                          else env.rank,
-                          sendwhen=peer is not None,
-                          receivewhen=peer is not None,
-                          sbuf=edges[direction],
-                          rbuf=bufs.halo[direction]):
-                pass
 
 
 def run_mpi(comm: mpi.Comm, block: np.ndarray, bufs: HaloBuffers,

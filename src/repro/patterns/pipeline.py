@@ -10,8 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import mpi
-from repro.core import comm_p2p, comm_parameters
-from repro.sim.process import Env
 
 NAME = "pipeline"
 
@@ -39,22 +37,6 @@ out3[0] = rank + 301;
 }
 consume(in0, in1, in2, in3);
 """
-
-
-def run_directive(env: Env, out: np.ndarray, inb: np.ndarray) -> None:
-    """Listing 3: per-element directives, one region sync."""
-    rank, size = env.rank, env.size
-    n = out.size
-    with comm_parameters(env,
-                         sender=max(rank - 1, 0),
-                         receiver=min(rank + 1, size - 1),
-                         sendwhen=rank < size - 1,
-                         receivewhen=rank > 0,
-                         count=1, max_comm_iter=n,
-                         place_sync="END_PARAM_REGION"):
-        for p in range(n):
-            with comm_p2p(env, sbuf=out[p:p + 1], rbuf=inb[p:p + 1]):
-                pass
 
 
 def run_mpi(comm: mpi.Comm, out: np.ndarray, inb: np.ndarray) -> None:

@@ -9,8 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import mpi
-from repro.core import comm_p2p
-from repro.sim.process import Env
 
 NAME = "ring"
 
@@ -25,14 +23,6 @@ out[0] = rank + 1;
 }
 consume(inb);
 """
-
-
-def run_directive(env: Env, out: np.ndarray, inb: np.ndarray) -> None:
-    """Listing 1: ring with only the required clauses."""
-    prev = (env.rank - 1 + env.size) % env.size
-    nxt = (env.rank + 1) % env.size
-    with comm_p2p(env, sender=prev, receiver=nxt, sbuf=out, rbuf=inb):
-        pass
 
 
 def run_mpi(comm: mpi.Comm, out: np.ndarray, inb: np.ndarray) -> None:

@@ -4,23 +4,20 @@ from repro.util.units import (
     KiB,
     MiB,
     GiB,
-    fmt_bytes,
     fmt_time,
     usec,
     msec,
 )
 from repro.util.rng import rank_rng
-from repro.util.tables import Table, format_series
+from repro.util.tables import Table
 
 __all__ = [
     "KiB",
     "MiB",
     "GiB",
-    "fmt_bytes",
     "fmt_time",
     "usec",
     "msec",
     "rank_rng",
     "Table",
-    "format_series",
 ]

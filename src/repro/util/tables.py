@@ -1,8 +1,8 @@
-"""Plain-text table and series rendering for benchmark reports.
+"""Plain-text table rendering for benchmark reports.
 
-The benchmark harness prints the same rows/series the paper's figures
-plot; these helpers render them as aligned ASCII so ``EXPERIMENTS.md``
-and terminal output stay readable without a plotting dependency.
+The benchmark harness prints the same rows the paper's figures plot;
+:class:`Table` renders them as aligned ASCII so ``EXPERIMENTS.md`` and
+terminal output stay readable without a plotting dependency.
 """
 
 from __future__ import annotations
@@ -56,12 +56,3 @@ class Table:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
-
-
-def format_series(name: str, xs: Sequence[Any], ys: Sequence[float],
-                  *, float_fmt: str = ".4g") -> str:
-    """Render one figure series as ``name: (x, y) (x, y) ...`` pairs."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    pairs = " ".join(f"({x}, {format(y, float_fmt)})" for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"

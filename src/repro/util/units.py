@@ -17,15 +17,6 @@ usec: float = 1e-6
 msec: float = 1e-3
 
 
-def fmt_bytes(n: int | float) -> str:
-    """Format a byte count with a binary suffix (``1536 -> '1.5 KiB'``)."""
-    n = float(n)
-    for unit, name in ((GiB, "GiB"), (MiB, "MiB"), (KiB, "KiB")):
-        if abs(n) >= unit:
-            return f"{n / unit:.3g} {name}"
-    return f"{n:.0f} B"
-
-
 def fmt_time(seconds: float) -> str:
     """Format a duration with an SI suffix (``1.5e-6 -> '1.5 us'``)."""
     a = abs(seconds)

@@ -6,6 +6,9 @@ measured only by ``perfbench``.
 
 * **Engine** — makespan and scheduler counters of a ring exchange at
   the paper's Fig. 3 sweep endpoints and three points between.
+* **Barriers** — the makespan of a SHMEM ``barrier_all`` step and of
+  an MPI ``Win_fence`` epoch, the modeled times the barrier cost
+  (``barrier_stage`` x ceil(log2 P)) reaches.
 * **Advisor** — the proof-carrying fix ledger of the pessimized
   examples in ``examples/pragmas/slow/`` (predicted vs simulated
   savings per lowering target), plus the pattern catalog as a negative
@@ -27,7 +30,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import mpi
+from repro import mpi, shmem
 from repro.core import comm_p2p
 from repro.core.analysis.fix import FixResult, fix_source
 from repro.faults import FaultPlan, RankCrash, Watchdog
@@ -90,6 +93,39 @@ def test_engine_ring_point(nprocs):
     stats = eng.stats
     assert (res.makespan, stats.switches, stats.direct_handoffs,
             stats.fast_yields, stats.heap_ops) == ENGINE_POINTS[nprocs]
+
+
+# -- barriers: a SHMEM barrier_all step and an MPI Win_fence epoch ---------
+
+#: nprocs -> ``float.hex`` makespans of (put + barrier_all, fenced put
+#: epoch), each a ring put of 8 doubles.
+BARRIER_POINTS = {
+    8: ("0x1.b26a2adc9ba39p-20", "0x1.85a93143174c8p-18"),
+    33: ("0x1.7a44c50eb9ed8p-19", "0x1.3ba05c59dcbb0p-17"),
+}
+
+
+def _barrier_all_main(env):
+    sh = shmem.init(env, _MODEL)
+    dst = sh.malloc(8)
+    sh.put_double(dst, np.full(8, float(env.rank)),
+                  (env.rank + 1) % env.size)
+    sh.barrier_all()
+
+
+def _fence_main(env):
+    comm = mpi.init(env, _MODEL)
+    win = mpi.Win.create(comm, np.zeros(8))
+    win.Fence()
+    win.Put(np.full(8, float(env.rank)), (env.rank + 1) % env.size)
+    win.Fence()
+
+
+@pytest.mark.parametrize("nprocs", sorted(BARRIER_POINTS))
+def test_barrier_point(nprocs):
+    makespans = tuple(Engine(nprocs).run(main).makespan.hex()
+                      for main in (_barrier_all_main, _fence_main))
+    assert makespans == BARRIER_POINTS[nprocs]
 
 
 # -- advisor: proof-carrying fixes and the catalog negative control ---------

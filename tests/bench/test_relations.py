@@ -33,6 +33,7 @@ from repro.netmodel import gemini_model
 from repro.netmodel.base import MPI_2SIDED
 from repro.patterns import get_pattern
 from repro.sim import Engine
+from tests.patterns._forms import MPI_FORMS, run_mpi_form, run_text
 
 _MODEL = gemini_model()
 
@@ -276,24 +277,18 @@ class TestMessageSize:
 
 class TestPatterns:
     """The directive translation matches (or beats, via consolidation)
-    the hand-written form of each recurring pattern in modeled time."""
+    the hand-written form of each recurring pattern in modeled time:
+    the registry text at P = 8 on MPI two-sided against ``run_mpi`` on
+    the text's buffers."""
 
     @staticmethod
     def _run(name, variant):
-        spec = get_pattern(name)
-
-        def main(env):
-            comm = mpi.init(env, _MODEL)
-            out = np.full(64, float(env.rank))
-            inb = np.zeros(64)
-            t0 = env.now
-            if variant == "directive":
-                spec.run_directive(env, out, inb)
-            else:
-                spec.run_mpi(comm, out, inb)
-            return env.now - t0
-
-        return max(Engine(8).run(main).values)
+        if variant == "directive":
+            spec = get_pattern(name)
+            return run_text(spec.source, 8, "TARGET_COMM_MPI_2SIDE",
+                            spec.bindings, model=_MODEL).modeled_time
+        res, _ = run_mpi_form(8, MPI_FORMS[name], model=_MODEL)
+        return res.makespan
 
     @pytest.mark.parametrize("name", ["ring", "evenodd", "pipeline"])
     def test_directive_not_slower_than_handwritten(self, name):

@@ -6,6 +6,7 @@ import pytest
 from repro import mpi
 from repro.core.lower.typecache import TypeCache, _triples_from_dtype
 from repro.dtypes import extract_composite
+from repro.errors import DatatypeError
 from repro.netmodel import uniform_model, zero_model
 from repro.sim import Engine
 
@@ -24,17 +25,20 @@ def run(nprocs, fn, model=None):
 class TestTriplesFromDtype:
     def test_matches_composite_layout(self):
         """Flattening a numpy dtype agrees with the dtypes engine's
-        flattening of the equivalent composite."""
-        comp = extract_composite("S", {
-            "n": "int", "x": "double", "tag": ("char", 5),
-            "v": ("double", 3),
-        })
-        bl, disp, types = _triples_from_dtype(comp.to_numpy_dtype())
-        ref = comp.triples()
-        assert tuple(bl) == ref.blocklengths
-        assert tuple(disp) == ref.displacements
-        assert [t.name for t in types] == \
-            [p.mpi_name for p in ref.mpi_types]
+        flattening of the equivalent composite: blocklengths,
+        displacements and basic-type names."""
+        for fields in ({"n": "int", "x": "double", "tag": ("char", 5),
+                        "v": ("double", 3)},
+                       {"a": "unsigned", "b": "short",
+                        "c": "unsigned short", "d": "unsigned long",
+                        "e": ("unsigned char", 3)}):
+            comp = extract_composite("S", fields)
+            bl, disp, types = _triples_from_dtype(comp.to_numpy_dtype())
+            ref = comp.triples()
+            assert tuple(bl) == ref.blocklengths
+            assert tuple(disp) == ref.displacements
+            assert [t.name for t in types] == \
+                [p.mpi_name for p in ref.mpi_types]
 
     def test_nested_struct_flattened(self):
         inner = np.dtype([("x", "f8")], align=True)
@@ -44,10 +48,16 @@ class TestTriplesFromDtype:
         assert disp[1] == 8 and disp[2] == 16
 
     def test_unsigned_and_short_fallbacks(self):
-        dt = np.dtype([("a", "u4"), ("b", "i2")])
+        dt = np.dtype([("a", "u4"), ("b", "i2"), ("c", "u2"),
+                       ("d", "u8"), ("e", "u1")])
         _, _, types = _triples_from_dtype(dt)
-        assert types[0].name == "MPI_INT"   # same-width transfer type
-        assert types[1].name == "MPI_CHAR"
+        assert [t.name for t in types] == [
+            "MPI_UNSIGNED", "MPI_SHORT", "MPI_UNSIGNED_SHORT",
+            "MPI_UNSIGNED_LONG", "MPI_UNSIGNED_CHAR"]
+
+    def test_field_without_c_primitive_rejected(self):
+        with pytest.raises(DatatypeError, match="no corresponding C"):
+            _triples_from_dtype(np.dtype([("a", "i4"), ("b", "f2")]))
 
 
 class TestCache:

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.core.analysis import hb
+from repro.core.clauses import Target
 from repro.gen.cli import build_parser, main
 from repro.gen.generator import generate
 
@@ -45,8 +46,32 @@ def test_list_mode_exit_zero(capsys):
     assert "seed=1" in out and "seed=2" in out
 
 
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_bad_target_is_usage_error(capsys):
-    assert main(["--seed", "1", "--diff", "--targets", "bogus"]) == 2
+    err = _usage_error(["--seed", "1", "--diff", "--targets", "bogus"],
+                       capsys)
+    assert "argument --targets: unknown target 'bogus'" in err
+
+
+@pytest.mark.parametrize("spec", [",", "foo"])
+def test_targets_error_names_flag_and_aliases(spec, capsys):
+    err = _usage_error(["--seeds", "1", "--diff", "--targets", spec],
+                       capsys)
+    assert "argument --targets: " in err
+    assert "accepts mpi2s, mpi1s, shmem, TARGET_COMM_" in err
+
+
+def test_targets_accept_aliases_and_keywords():
+    ns = build_parser().parse_args(
+        ["--targets", "SHMEM, TARGET_COMM_MPI_1SIDE,"])
+    assert ns.targets == (Target.SHMEM, Target.MPI_1SIDE)
+    assert build_parser().parse_args([]).targets == tuple(Target)
 
 
 def test_emit_writes_sources(tmp_path):

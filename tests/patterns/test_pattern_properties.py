@@ -1,45 +1,45 @@
 """Property-based tests over the pattern catalog."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import mpi
-from repro.netmodel import zero_model
-from repro.patterns import butterfly, get_pattern, halo2d
-from repro.patterns.halo2d import HaloBuffers, grid_shape, neighbours
-from repro.sim import Engine
-
-
-def run(nprocs, fn):
-    model = zero_model()
-    eng = Engine(nprocs)
-
-    def main(env):
-        comm = mpi.init(env, model)
-        return fn(env, comm)
-
-    return eng.run(main)
+from repro.patterns import get_pattern, halo2d, ring
+from repro.patterns.halo2d import grid_shape, neighbours
+from tests.patterns._forms import (
+    TARGETS,
+    as_lists,
+    assembled,
+    butterfly_text,
+    halo2d_mpi,
+    run_mpi_form,
+    run_text,
+    seed_every_edge,
+)
 
 
 @given(st.integers(min_value=2, max_value=9),
        st.integers(min_value=1, max_value=24))
 @settings(max_examples=25, deadline=None)
 def test_property_ring_directive_equals_handwritten(nprocs, payload):
-    spec = get_pattern("ring")
-    results = {}
-    for variant in ("directive", "mpi"):
-        def prog(env, comm, _v=variant):
-            out = np.arange(float(payload)) + 1000 * env.rank
-            inb = np.zeros(payload)
-            if _v == "directive":
-                spec.run_directive(env, out, inb)
-            else:
-                spec.run_mpi(comm, out, inb)
-            return inb.tolist()
+    # The ring text resized to ``payload`` elements, every one seeded.
+    seeds = "".join(f"out[{k}] = rank * 1000 + {k};\n"
+                    for k in range(payload))
+    text = (get_pattern("ring").source.replace("[8]", f"[{payload}]")
+            .replace("out[0] = rank + 1;\n", seeds))
 
-        results[variant] = run(nprocs, prog).values
-    assert results["directive"] == results["mpi"]
+    def handwritten(comm):
+        out = np.arange(float(payload)) + 1000 * comm.rank
+        inb = np.zeros(payload)
+        ring.run_mpi(comm, out, inb)
+        return inb.tolist()
+
+    expected = run_mpi_form(nprocs, handwritten)[0].values
+    for target in TARGETS:
+        run = run_text(text, nprocs, target).payloads
+        assert [p["inb"] for p in run] == expected, target
 
 
 @given(st.integers(min_value=2, max_value=12))
@@ -69,14 +69,13 @@ def test_property_neighbour_relation_symmetric(nprocs):
 @settings(max_examples=20, deadline=None)
 def test_property_butterfly_assembles_all_contributions(log_p, base):
     nprocs = 1 << log_p
-
-    def prog(env, comm):
-        return butterfly.run_directive(env, base + env.rank).tolist()
-
-    res = run(nprocs, prog)
+    text = butterfly_text(nprocs, seed=f"rank + {base!r}")
     expected = [base + r for r in range(nprocs)]
-    for got in res.values:
-        assert got == pytest.approx(expected)
+    for target in TARGETS:
+        run = run_text(text, nprocs, target).payloads
+        for rank, payload in enumerate(run):
+            assert assembled(payload, rank, nprocs) == \
+                pytest.approx(expected)
 
 
 @given(st.integers(min_value=2, max_value=9),
@@ -84,18 +83,16 @@ def test_property_butterfly_assembles_all_contributions(log_p, base):
        st.integers(min_value=2, max_value=6))
 @settings(max_examples=15, deadline=None)
 def test_property_halo2d_directive_equals_handwritten(nprocs, ny, nx):
-    py, px = grid_shape(nprocs)
-    results = {}
-    for variant in ("directive", "mpi"):
-        def prog(env, comm, _v=variant):
-            block = (np.arange(float(ny * nx)).reshape(ny, nx)
-                     + 31.0 * env.rank)
-            bufs = HaloBuffers(ny, nx)
-            if _v == "directive":
-                halo2d.run_directive(env, block, bufs, py, px)
-            else:
-                halo2d.run_mpi(comm, block, bufs, py, px)
-            return {d: h.tolist() for d, h in bufs.halo.items()}
-
-        results[variant] = run(nprocs, prog).values
-    assert results["directive"] == results["mpi"]
+    # The halo2d text resized to an ny x nx block on the nprocs grid,
+    # every element of each edge strip seeded.
+    text = seed_every_edge(
+        re.sub(r"\[([34])\];",
+               lambda m: f"[{nx if m.group(1) == '4' else ny}];",
+               halo2d.SOURCE), ny, nx)
+    px = grid_shape(nprocs)[1]
+    res, _ = run_mpi_form(nprocs,
+                          lambda comm: halo2d_mpi(comm, ny, nx, every=True))
+    expected = [as_lists(p) for p in res.values]
+    for target in TARGETS:
+        assert list(run_text(text, nprocs, target, {"px": px}).payloads) \
+            == expected, target

@@ -1,153 +1,114 @@
-"""Patterns: directive and raw-MPI forms agree; analysis classifies."""
+"""Patterns: the registry text, lowered to every target, and the
+hand-written MPI form deliver the same data; analysis classifies."""
 
 import numpy as np
 import pytest
 
-from repro import mpi
 from repro.core.analysis import classify_pattern, comm_graph
-from repro.netmodel import zero_model
 from repro.patterns import PATTERNS, get_pattern
-from repro.patterns import fan, halo, pipeline
-from repro.sim import Engine
+from tests.patterns._forms import (
+    SYNC_KIND,
+    TARGETS,
+    hand_written,
+    payloads,
+    run_mpi_form,
+    run_text,
+    seeded,
+)
+
+#: ``"directive"`` runs the registry text on every target, ``"mpi"``
+#: the hand-written form on the text's buffers.
+VARIANTS = ["directive", "mpi"]
 
 
-def run(nprocs, fn):
-    model = zero_model()
-    eng = Engine(nprocs)
+def _zeros(n):
+    return [0.0] * n
 
-    def main(env):
-        comm = mpi.init(env, model)
-        return fn(env, comm)
 
-    return eng.run(main)
+def _first(value, n):
+    return seeded(n, value).tolist()
 
 
 class TestRing:
-    @pytest.mark.parametrize("variant", ["directive", "mpi"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("size", [2, 3, 7])
     def test_both_forms_rotate(self, variant, size):
-        spec = get_pattern("ring")
-
-        def prog(env, comm):
-            out = np.full(3, float(env.rank))
-            inb = np.zeros(3)
-            if variant == "directive":
-                spec.run_directive(env, out, inb)
-            else:
-                spec.run_mpi(comm, out, inb)
-            return inb[0]
-
-        res = run(size, prog)
-        expected = [(r - 1) % size for r in range(size)]
-        assert res.values == [float(e) for e in expected]
+        for run in payloads("ring", size, variant):
+            # Each rank receives its predecessor's seed, rank + 1.
+            assert [p["inb"] for p in run] == \
+                [_first((r - 1) % size + 1.0, 8) for r in range(size)]
 
 
 class TestEvenOdd:
-    @pytest.mark.parametrize("variant", ["directive", "mpi"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("size", [2, 4, 5])
     def test_both_forms(self, variant, size):
-        spec = get_pattern("evenodd")
-
-        def prog(env, comm):
-            out = np.full(2, float(env.rank * 10))
-            inb = np.zeros(2)
-            if variant == "directive":
-                spec.run_directive(env, out, inb)
-            else:
-                spec.run_mpi(comm, out, inb)
-            return inb[0]
-
-        res = run(size, prog)
-        for r in range(size):
-            if r % 2 == 1:
-                assert res.values[r] == (r - 1) * 10.0
-            else:
-                assert res.values[r] == 0.0
+        for run in payloads("evenodd", size, variant):
+            for r in range(size):
+                if r % 2 == 1:
+                    assert run[r]["inb"] == _first(float(r), 6)
+                else:
+                    assert run[r]["inb"] == _zeros(6)
 
 
 class TestHalo:
-    @pytest.mark.parametrize("variant", ["directive", "mpi"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_neighbours_exchanged(self, variant):
-        def prog(env, comm):
-            interior = np.arange(8.0) + 100 * env.rank
-            left = np.zeros(2)
-            right = np.zeros(2)
-            if variant == "directive":
-                halo.run_directive(env, interior, left, right)
-            else:
-                halo.run_mpi(comm, interior, left, right)
-            return (left.tolist(), right.tolist())
-
-        res = run(3, prog)
-        # rank 1: left halo = rank 0's last two, right = rank 2's first two
-        assert res.values[1] == ([6.0, 7.0], [200.0, 201.0])
-        # boundaries untouched
-        assert res.values[0][0] == [0.0, 0.0]
-        assert res.values[2][1] == [0.0, 0.0]
+        for run in payloads("halo1d", 3, variant):
+            # rank 1: left halo = rank 0's right edge, right halo = rank
+            # 2's left edge
+            assert (run[1]["left_halo"], run[1]["right_halo"]) == \
+                (_first(1.0, 8), _first(103.0, 8))
+            # boundaries untouched
+            assert run[0]["left_halo"] == _zeros(8)
+            assert run[2]["right_halo"] == _zeros(8)
 
     def test_directive_consolidates_sync(self):
-        model = zero_model()
-        eng = Engine(3)
-
-        def main(env):
-            comm = mpi.init(env, model)
-            interior = np.arange(8.0)
-            halo.run_directive(env, interior, np.zeros(2), np.zeros(2))
-
-        eng.run(main)
-        # One waitall per rank, instead of up to 4 waits each.
-        assert eng.stats.sync_calls["waitall"] == 3
-        assert eng.stats.sync_calls["wait"] == 0
+        spec = get_pattern("halo1d")
+        for target in TARGETS:
+            stats = run_text(spec.source, 3, target).stats
+            # One consolidated sync per rank, instead of up to 4 waits.
+            assert stats.sync_calls == {SYNC_KIND[target]: 3}, target
 
 
 class TestPipeline:
-    @pytest.mark.parametrize("variant", ["directive", "mpi"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_chain_forwarding(self, variant):
-        def prog(env, comm):
-            out = np.arange(5.0) + 10 * env.rank
-            inb = np.zeros(5)
-            if variant == "directive":
-                pipeline.run_directive(env, out, inb)
-            else:
-                pipeline.run_mpi(comm, out, inb)
-            return inb.tolist()
-
-        res = run(3, prog)
-        assert res.values[1] == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert res.values[2] == [10.0, 11.0, 12.0, 13.0, 14.0]
-        assert res.values[0] == [0.0] * 5
+        for run in payloads("pipeline", 3, variant):
+            received = [[run[r][f"in{p}"][0] for p in range(4)]
+                        for r in range(3)]
+            assert received[1] == [1.0, 101.0, 201.0, 301.0]
+            assert received[2] == [2.0, 102.0, 202.0, 302.0]
+            assert received[0] == [0.0] * 4
 
 
 class TestFan:
-    @pytest.mark.parametrize("variant", ["directive", "mpi"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_fanout(self, variant):
-        def prog(env, comm):
-            data = (np.arange(float(env.size * 2)).reshape(env.size, 2)
-                    if env.rank == 1 else None)
+        for run in payloads("fanout", 4, variant):
+            # Root 0 sends row k (seeded k) to peer k; peer 4 is absent.
+            for r in range(4):
+                for k in range(1, 5):
+                    assert run[r][f"got{k}"] == (
+                        _first(float(k), 4) if r == k else _zeros(4))
+
+    def test_fanout_mpi_from_any_root(self):
+        # The text's root is 0; the hand-written form takes any root.
+        def prog(comm):
+            data = (np.arange(8.0).reshape(4, 2) if comm.rank == 1
+                    else None)
             mine = np.zeros(2)
-            if variant == "directive":
-                fan.run_fanout_directive(env, 1, data, mine)
-            else:
-                fan.run_fanout_mpi(comm, 1, data, mine)
+            hand_written("fanout")(comm, 1, data, mine)
             return mine.tolist()
 
-        res = run(4, prog)
-        for r in range(4):
-            assert res.values[r] == [2.0 * r, 2.0 * r + 1]
+        res, _ = run_mpi_form(4, prog)
+        assert res.values == [[2.0 * r, 2.0 * r + 1] for r in range(4)]
 
-    @pytest.mark.parametrize("variant", ["directive", "mpi"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_fanin(self, variant):
-        def prog(env, comm):
-            mine = np.full(2, float(env.rank + 1))
-            collected = np.zeros((env.size, 2)) if env.rank == 0 else None
-            if variant == "directive":
-                fan.run_fanin_directive(env, 0, mine, collected)
-            else:
-                fan.run_fanin_mpi(comm, 0, mine, collected)
-            return collected[:, 0].tolist() if env.rank == 0 else None
-
-        res = run(3, prog)
-        assert res.values[0] == [1.0, 2.0, 3.0]
+        for run in payloads("fanin", 3, variant):
+            assert [run[0][f"col{k}"][0] for k in range(1, 5)] == \
+                [2.0, 3.0, 0.0, 0.0]
 
 
 class TestCatalogAnalysis:

@@ -1,109 +1,54 @@
-"""The registry's pragma texts against the library DSL, and at every
-world the chaos soak can shrink them to.
+"""The registry's pragma texts against the hand-written MPI code they
+replace, and at every world the chaos soak can shrink them to.
 
-* Each pattern's two forms agree: the library DSL ``run_directive`` and
-  the registry's pragma text, replayed through progsim, move the same
-  bytes with the same synchronization calls at the text's world size
-  on MPI two-sided. The IR has no loops, so each text unrolls its
-  pattern for its registry world size; the DSL call below is sized to
-  move the same elements.
+* Each pattern's text, run through ``spec.main(target)`` at its
+  registry world size and bindings, leaves the same per-rank payloads
+  on every lowering target, and those payloads equal the hand-written
+  ``run_mpi`` form's, run on the text's buffers with the values the
+  text's raw code writes. On MPI two-sided both forms move the same
+  bytes. (The synchronization calls differ by design: the text
+  consolidates them.)
 * Each soak pattern's text lints clean (no warning either) and
   simulates on every target at every world size from its registry
   size down to one rank that the pattern admits: shrink re-runs the
   text at the survivor count.
 
-The text is the definition the fuzzer, the chaos soak, ``repro-trace
---pattern``, the static twin and ``repro-lint --catalog`` read; the DSL
-form is the public API.
+The text is the one directive definition the fuzzer, the chaos soak,
+``repro-trace --pattern``, the static twin and ``repro-lint --catalog``
+read.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro import mpi
 from repro.core.analysis.lint import lint_program
 from repro.core.analysis.progsim import simulate_program
 from repro.core.clauses import Target
 from repro.faults.chaos import SOAK_NAMES
-from repro.netmodel import gemini_model
 from repro.patterns import PATTERNS, get_pattern
-from repro.patterns.halo2d import HaloBuffers, grid_shape
 from repro.sim import Engine
-
-TARGET = "TARGET_COMM_MPI_2SIDE"
-
-
-def _ring(env, spec):
-    spec.run_directive(env, np.full(8, env.rank + 1.0), np.zeros(8))
-
-
-def _evenodd(env, spec):
-    spec.run_directive(env, np.full(6, env.rank + 1.0), np.zeros(6))
-
-
-def _halo1d(env, spec):
-    spec.run_directive(env, np.arange(16.0), np.zeros(8), np.zeros(8))
-
-
-def _pipeline(env, spec):
-    n = spec.bindings["n"]
-    spec.run_directive(env, np.arange(float(n)), np.zeros(n))
-
-
-def _fanout(env, spec):
-    data = np.ones((env.size, 4)) if env.rank == 0 else None
-    spec.run_directive(env, 0, data, np.zeros(4))
-
-
-def _fanin(env, spec):
-    collected = np.zeros((env.size, 4)) if env.rank == 0 else None
-    spec.run_directive(env, 0, np.ones(4), collected)
-
-
-def _halo2d(env, spec):
-    py, px = grid_shape(env.size)
-    assert px == spec.bindings["px"]
-    spec.run_directive(env, np.ones((3, 4)), HaloBuffers(3, 4), py, px)
-
-
-def _butterfly(env, spec):
-    spec.run_directive(env, env.rank + 1.0)
-
-
-#: Pattern name -> its DSL call, sized like the registry text.
-DSL_CALLS = {
-    "ring": _ring,
-    "evenodd": _evenodd,
-    "halo1d": _halo1d,
-    "pipeline": _pipeline,
-    "fanout": _fanout,
-    "fanin": _fanin,
-    "halo2d": _halo2d,
-    "butterfly": _butterfly,
-}
+from tests.patterns._forms import MPI_FORMS, TARGETS, as_lists, run_mpi_form
 
 
 def test_every_registry_pattern_is_compared():
-    assert set(DSL_CALLS) == set(PATTERNS)
+    assert set(MPI_FORMS) == set(PATTERNS)
 
 
-@pytest.mark.parametrize("name", sorted(DSL_CALLS))
-def test_dsl_and_text_move_the_same_bytes_and_syncs(name):
+@pytest.mark.parametrize("name", sorted(MPI_FORMS))
+def test_text_matches_handwritten_mpi(name):
     spec = get_pattern(name)
-    model = gemini_model()
-
-    def main(env):
-        mpi.init(env, model)
-        DSL_CALLS[name](env, spec)
-
-    engine = Engine(spec.nprocs)
-    engine.run(main)
-    text = simulate_program(spec.program(), spec.nprocs, target=TARGET,
-                            extra_vars=spec.bindings).stats
-    assert text.bytes == engine.stats.bytes
-    assert text.sync_calls == engine.stats.sync_calls
+    texts = {}
+    for target in TARGETS:
+        engine = Engine(spec.nprocs)
+        texts[target] = (engine.run(spec.main(target)).values,
+                         engine.stats)
+    res, engine = run_mpi_form(spec.nprocs, MPI_FORMS[name])
+    handwritten = [as_lists(p) for p in res.values]
+    for target, (payloads, _) in texts.items():
+        assert payloads == handwritten, target
+    text_stats = texts["TARGET_COMM_MPI_2SIDE"][1]
+    assert text_stats.bytes == engine.stats.bytes
 
 
 def _shrunk_worlds():

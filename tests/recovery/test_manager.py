@@ -10,7 +10,7 @@ from repro.errors import RankFailedError
 from repro.faults import FaultPlan, RankCrash, Watchdog
 from repro.faults.fuzz import FUZZ_TARGETS
 from repro.netmodel import gemini_model
-from repro.patterns.catalog import get_pattern, power_of_two, valid_world_of
+from repro.patterns.catalog import get_pattern, power_of_two
 from repro.profiling.chrome import chrome_trace
 from repro.recovery import (
     RESPAWN,
@@ -84,7 +84,7 @@ class TestPolicies:
         """Butterfly's power-of-two constraint (from the catalog) makes
         shrink fall 4 -> 2, not 4 -> 3."""
         main = get_pattern("butterfly").main("TARGET_COMM_MPI_2SIDE")
-        assert valid_world_of("butterfly") is power_of_two
+        assert get_pattern("butterfly").valid_world is power_of_two
         plan = FaultPlan(seed=1, crashes=(RankCrash(rank=1, at=0.0),))
         cfg = RecoveryConfig(policy=SHRINK, valid_world=power_of_two)
         res = run_with_recovery(main, 4, faults=plan, config=cfg,

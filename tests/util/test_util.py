@@ -8,9 +8,7 @@ from repro.util import (
     KiB,
     MiB,
     Table,
-    fmt_bytes,
     fmt_time,
-    format_series,
     msec,
     rank_rng,
     usec,
@@ -26,16 +24,6 @@ class TestUnits:
     def test_time_constants(self):
         assert usec == pytest.approx(1e-6)
         assert msec == pytest.approx(1e-3)
-
-    @pytest.mark.parametrize("n,expected", [
-        (0, "0 B"),
-        (512, "512 B"),
-        (1536, "1.5 KiB"),
-        (3 * MiB, "3 MiB"),
-        (2 * GiB, "2 GiB"),
-    ])
-    def test_fmt_bytes(self, n, expected):
-        assert fmt_bytes(n) == expected
 
     @pytest.mark.parametrize("t,expected", [
         (0.0, "0 s"),
@@ -91,13 +79,3 @@ class TestTable:
         t = Table(["a", "b"])
         with pytest.raises(ValueError):
             t.add_row([1])
-
-
-class TestFormatSeries:
-    def test_pairs(self):
-        s = format_series("mpi", [33, 49], [0.01, 0.02])
-        assert s == "mpi: (33, 0.01) (49, 0.02)"
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            format_series("x", [1], [1.0, 2.0])
