@@ -9,8 +9,8 @@ Four demonstrations on the ring exchange from the paper's Listing 1:
    propagates exactly as far as the communication structure carries it;
 3. a rank crash terminates the run promptly with a RankFailedError
    naming the dead rank and what every survivor was doing;
-4. the sync-plan fuzzer replays one (pattern, target, seed) triple —
-   the same call CI uses to reproduce a reported failure.
+4. the sync-plan fuzzer replays the ring's registry text under one
+   jittered schedule — the call a reported failure's replay line names.
 
 Run:  python examples/fault_injection.py
 """
@@ -25,8 +25,15 @@ import numpy as np
 from repro import mpi
 from repro.core import comm_p2p
 from repro.errors import RankFailedError
-from repro.faults import FaultPlan, RankCrash, RankStall, Watchdog, fuzz_one
+from repro.faults import (
+    FaultPlan,
+    RankCrash,
+    RankStall,
+    Watchdog,
+    fuzz_program,
+)
 from repro.netmodel import gemini_model
+from repro.patterns import get_pattern
 from repro.sim import Engine
 
 NPROCS = 5
@@ -85,9 +92,12 @@ def demo_crash() -> None:
 
 
 def demo_fuzz_replay() -> None:
-    print("-- 4. one sync-plan fuzzer triple (ring, SHMEM, seed 3)")
-    failure = fuzz_one("ring", "TARGET_COMM_SHMEM", 3)
-    print("   passed" if failure is None else f"   {failure}")
+    print("-- 4. the fuzzer replays the ring text (SHMEM, seed 3)")
+    ring = get_pattern("ring")
+    failures = fuzz_program(ring.program(), ring.nprocs,
+                            target="TARGET_COMM_SHMEM", seeds=[3],
+                            name="ring")
+    print("   passed" if not failures else f"   {failures[0]}")
     print()
 
 

@@ -5,7 +5,9 @@ The robustness layer of the simulator: declarative, seed-deterministic
 stalls, rank crashes) compiled into a :class:`FaultInjector` the engine
 consults; an opt-in progress :class:`Watchdog` turning hangs into rich
 reports; the sync-plan correctness fuzzer of
-:mod:`repro.faults.fuzz`; and the recovery-runtime chaos soak of
+:mod:`repro.faults.fuzz` (jittered replays of a directive program,
+compared bit-for-bit with its unperturbed run — the differential
+oracle's schedule arm); and the recovery-runtime chaos soak of
 :mod:`repro.faults.chaos` (crash + drop + stall plans recovered by
 :mod:`repro.recovery` with bit-exactness asserted).
 
@@ -29,11 +31,10 @@ from repro.faults.chaos import (
     chaos_soak,
 )
 from repro.faults.fuzz import (
-    CASE_NAMES,
     FUZZ_TARGETS,
     FuzzFailure,
-    fuzz,
-    fuzz_one,
+    fuzz_program,
+    fuzz_wllsms,
     weaken_pending_sync,
 )
 from repro.faults.inject import FaultInjector
@@ -41,7 +42,6 @@ from repro.faults.plan import FaultPlan, RankCrash, RankStall
 from repro.faults.watchdog import Watchdog
 
 __all__ = [
-    "CASE_NAMES",
     "FUZZ_TARGETS",
     "SOAK_CASES",
     "SOAK_NAMES",
@@ -55,7 +55,7 @@ __all__ = [
     "chaos_one",
     "chaos_plan",
     "chaos_soak",
-    "fuzz",
-    "fuzz_one",
+    "fuzz_program",
+    "fuzz_wllsms",
     "weaken_pending_sync",
 ]

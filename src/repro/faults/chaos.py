@@ -30,12 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.faults.fuzz import (
-    FUZZ_TARGETS,
-    FUZZ_WATCHDOG,
-    _diff,
-    _pattern_main,
-)
+from repro.faults.fuzz import FUZZ_TARGETS, FUZZ_WATCHDOG, _diff
 from repro.faults.plan import FaultPlan, RankCrash, RankStall
 from repro.patterns.catalog import PatternSpec, get_pattern
 from repro.recovery import (
@@ -110,7 +105,7 @@ def chaos_one(pattern: str, target: str, policy: str, seed: int,
     reference world is simulated once.
     """
     case = SOAK_CASES[SOAK_NAMES.index(pattern)]
-    main = _pattern_main(pattern, target)
+    main = case.main(target)
     if baselines is None:
         baselines = {}
 

@@ -2,11 +2,15 @@
 
 The directive layer *promises* that whatever target a ``comm_p2p`` is
 lowered to, the data in ``rbuf`` is valid once the region's
-synchronization has run. The fuzzer attacks that promise: it runs each
-communication pattern under many seed-deterministic adversarial
-schedules (delivery jitter, reordering pressure, drop/retransmit) on
-every lowering target and asserts the final user-visible data is
-bit-identical to an unperturbed baseline run.
+synchronization has run. The fuzzer attacks that promise: it replays a
+parsed directive program (:func:`fuzz_program`) — a generated program,
+a registry pattern text or an example file — under many
+seed-deterministic adversarial schedules (delivery jitter, reordering
+pressure, drop/retransmit) on one lowering target and asserts the final
+per-rank buffer contents are bit-identical to an unperturbed baseline
+run. The differential oracle (:func:`repro.gen.oracle.check_program`)
+runs it on every target a program is clean on; WL-LSMS, the one case
+written in the library DSL, has its own :func:`fuzz_wllsms`.
 
 Two mechanisms make under-synchronization *observable* rather than
 merely possible:
@@ -23,32 +27,29 @@ merely possible:
   order so consolidation bugs that depend on "the wait finished
   everything anyway" coincidences stop being hidden.
 
-Every failure is reported with its ``(pattern, target, seed)`` triple;
-re-running that exact triple replays the failing schedule
-bit-identically.
+Every failure carries the call that replays its schedule
+bit-identically (:attr:`FuzzFailure.replay`).
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from repro.core import region as _region
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
 from repro.netmodel import gemini_model
-from repro.patterns.catalog import get_pattern
 from repro.sim import Engine
 
 #: Every lowering target of the directive layer.
 FUZZ_TARGETS = ("TARGET_COMM_MPI_2SIDE", "TARGET_COMM_MPI_1SIDE",
                 "TARGET_COMM_SHMEM")
 
-#: Watchdog applied to every fuzz run: a schedule that deadlocks or
-#: livelocks a pattern is converted into a diagnosable failure instead
-#: of eating the CI job timeout.
+#: Watchdog applied to every WL-LSMS fuzz run and chaos soak: a
+#: schedule that deadlocks or livelocks is converted into a diagnosable
+#: failure instead of eating the CI job timeout.
 FUZZ_WATCHDOG = Watchdog(wall_timeout=60.0, stall_events=1_000_000)
 
 
@@ -60,27 +61,7 @@ def _tally_checks(tally: dict | None, stats) -> None:
         tally["runs"] = tally.get("runs", 0) + 1
 
 
-@lru_cache(maxsize=None)
-def _pattern_main(name: str, target: str) -> Callable:
-    """One registry pattern's per-rank main on ``target``; the text is
-    parsed once per process, not once per run."""
-    return get_pattern(name).main(target)
-
-
-def _run_spec(name: str, target: str, plan: FaultPlan | None,
-              watchdog: Watchdog | None, sanitize: bool = False,
-              tally: dict | None = None):
-    """One registry pattern's text, replayed per rank through progsim
-    at the text's world size; returns the per-rank buffer payloads."""
-    eng = Engine(get_pattern(name).nprocs, faults=plan, watchdog=watchdog,
-                 sanitize=sanitize)
-    try:
-        return eng.run(_pattern_main(name, target)).values
-    finally:
-        _tally_checks(tally, eng.stats)
-
-
-def _run_wllsms(target: str, plan: FaultPlan,
+def _run_wllsms(target: str, plan: FaultPlan | None,
                 watchdog: Watchdog | None,
                 sanitize: bool = False, tally: dict | None = None):
     """WL-LSMS quick mode — the paper's application, end to end."""
@@ -105,47 +86,19 @@ def _run_wllsms(target: str, plan: FaultPlan,
 
 
 @dataclass(frozen=True)
-class FuzzCase:
-    """One pattern the fuzzer knows how to run on any target."""
-
-    name: str
-    run: Callable  # (target, plan, watchdog, sanitize, tally) -> result
-
-    def baseline(self, target: str,
-                 watchdog: Watchdog | None = FUZZ_WATCHDOG,
-                 sanitize: bool = False, tally: dict | None = None):
-        """The reference result for one target: an *unfaulted* run with
-        immediate delivery. Deliberately not a neutral FaultPlan —
-        deferred delivery must be compared against the semantics the
-        translation claims, or an under-synchronizing plan would leave
-        the same stale bytes in both runs and cancel out."""
-        return self.run(target, None, watchdog, sanitize, tally)
-
-
-#: The registry patterns the fuzzer sweeps, then the application.
-PATTERN_NAMES = ("ring", "evenodd", "halo2d", "butterfly")
-
-CASES = (
-    *(FuzzCase(name, partial(_run_spec, name)) for name in PATTERN_NAMES),
-    FuzzCase("wllsms", _run_wllsms),
-)
-
-CASE_NAMES = tuple(c.name for c in CASES)
-
-
-@dataclass(frozen=True)
 class FuzzFailure:
-    """One divergence, addressable for replay by (pattern, target, seed)."""
+    """One divergent schedule, with the call that replays it."""
 
     pattern: str
     target: str
     seed: int
     detail: str
+    #: The fuzz call that reruns exactly this schedule.
+    replay: str
 
     def __str__(self) -> str:
         return (f"FAIL {self.pattern} on {self.target} at seed "
-                f"{self.seed}: {self.detail}\n  replay: fuzz_one("
-                f"{self.pattern!r}, {self.target!r}, seed={self.seed})")
+                f"{self.seed}: {self.detail}\n  replay: {self.replay}")
 
 
 def _diff(expected, got) -> str | None:
@@ -171,52 +124,50 @@ def _diff(expected, got) -> str | None:
     return f"expected {expected!r}, got {got!r}"
 
 
-def fuzz_one(pattern: str, target: str, seed: int,
-             plan: FaultPlan | None = None,
-             watchdog: Watchdog | None = FUZZ_WATCHDOG,
-             baseline=None, sanitize: bool = False,
-             tally: dict | None = None) -> FuzzFailure | None:
-    """Run one (pattern, target, seed) triple; None means it passed.
-
-    ``plan`` defaults to the stock jitter plan for ``seed`` — pass an
-    explicit plan to replay a custom schedule. ``baseline`` short-cuts
-    recomputing the reference when sweeping many seeds. With
-    ``sanitize=True`` every run is executed under the access sanitizer:
-    a :class:`repro.errors.RaceError` is a failure like any divergence,
-    so a statically race-free pattern must also sanitize clean.
-    """
-    case = next(c for c in CASES if c.name == pattern)
-    if plan is None:
-        plan = FaultPlan.jitter(seed)
-    if baseline is None:
-        baseline = case.baseline(target, watchdog, sanitize, tally)
-    try:
-        got = case.run(target, plan, watchdog, sanitize, tally)
-    except Exception as exc:
-        return FuzzFailure(pattern, target, seed,
-                           f"raised {type(exc).__name__}: {exc}")
-    detail = _diff(baseline, got)
-    if detail is None:
-        return None
-    return FuzzFailure(pattern, target, seed, detail)
+def _sweep(name: str, target: str, seeds, baseline,
+           run: Callable[[FaultPlan], object],
+           call: str) -> list[FuzzFailure]:
+    """Compare ``run(FaultPlan.jitter(seed))`` with ``baseline`` for
+    every seed. A run that raises fails its seed like a divergence;
+    ``call`` is the fuzz call without its ``seeds`` argument, completed
+    per seed into the failure's replay."""
+    failures: list[FuzzFailure] = []
+    for seed in seeds:
+        try:
+            detail = _diff(baseline, run(FaultPlan.jitter(seed)))
+        except Exception as exc:
+            detail = f"raised {type(exc).__name__}: {exc}"
+        if detail is not None:
+            failures.append(FuzzFailure(
+                name, target, seed, detail, f"{call}, seeds=[{seed}])"))
+    return failures
 
 
 def fuzz_program(program, nprocs: int = 8, *, target: str,
                  seeds=range(10),
                  extra_vars: dict[str, int] | None = None,
-                 baseline=None, name: str = "generated",
+                 baseline=None, name: str = "program",
+                 sanitize: bool = False,
                  tally: dict | None = None,
                  ignore=frozenset()) -> list[FuzzFailure]:
     """Payload-differential fuzz of one parsed directive *program*.
 
-    The generated-program twin of :func:`fuzz`: instead of a hand-coded
-    pattern, the program simulator replays the IR
+    The program simulator replays the IR
     (:func:`repro.core.analysis.progsim.simulate_program`) with
     ``capture=True``, and the captured per-rank buffer contents of each
     jittered schedule are compared bit-for-bit against the unfaulted
     baseline. ``baseline`` short-cuts recomputation when the caller
     already holds the reference payloads (the differential oracle runs
     the unfaulted capture anyway for its cross-target check).
+    ``extra_vars`` binds the program's free clause names, as in
+    :func:`~repro.core.analysis.progsim.simulate_program`. ``name``
+    labels the program in failures and stands for it in each replay
+    call.
+
+    With ``sanitize=True`` every run arms the access sanitizer: a
+    :class:`repro.errors.RaceError` fails its schedule like any
+    divergence, so a statically race-free program must also sanitize
+    clean. ``tally`` accumulates ``sanitizer_checks`` and ``runs``.
 
     ``ignore`` is a set of ``(rank, buffer name)`` pairs excluded from
     the comparison — buffers whose final contents the directive
@@ -225,28 +176,41 @@ def fuzz_program(program, nprocs: int = 8, *, target: str,
     """
     from repro.core.analysis.progsim import simulate_program
 
-    if baseline is None:
-        baseline = simulate_program(
+    def run(plan: FaultPlan | None):
+        outcome = simulate_program(
             program, nprocs, target=target, extra_vars=extra_vars,
-            capture=True).payloads
-    baseline = mask_payloads(baseline, ignore)
-    failures: list[FuzzFailure] = []
-    for seed in seeds:
-        try:
-            outcome = simulate_program(
-                program, nprocs, target=target, extra_vars=extra_vars,
-                capture=True, faults=FaultPlan.jitter(seed))
-        except Exception as exc:
-            failures.append(FuzzFailure(
-                name, target, seed,
-                f"raised {type(exc).__name__}: {exc}"))
-            continue
-        if tally is not None and outcome.stats is not None:
-            _tally_checks(tally, outcome.stats)
-        detail = _diff(baseline, mask_payloads(outcome.payloads, ignore))
-        if detail is not None:
-            failures.append(FuzzFailure(name, target, seed, detail))
-    return failures
+            capture=True, sanitize=sanitize, faults=plan)
+        _tally_checks(tally, outcome.stats)
+        return mask_payloads(outcome.payloads, ignore)
+
+    baseline = (run(None) if baseline is None
+                else mask_payloads(baseline, ignore))
+    call = f"fuzz_program({name}, {nprocs}, target={target!r}"
+    if extra_vars:
+        call += f", extra_vars={extra_vars!r}"
+    if sanitize:
+        call += ", sanitize=True"
+    if ignore:
+        call += f", ignore={sorted(ignore)!r}"
+    return _sweep(name, target, seeds, baseline, run, call)
+
+
+def fuzz_wllsms(target: str, seeds, *, sanitize: bool = False,
+                tally: dict | None = None) -> list[FuzzFailure]:
+    """Fuzz WL-LSMS quick mode, the paper's application, on ``target``.
+
+    Its group energies and Wang-Landau density of states under each
+    jittered schedule must be bit-identical to an unfaulted run;
+    ``sanitize`` and ``tally`` are as in :func:`fuzz_program`. Every
+    run is under :data:`FUZZ_WATCHDOG`.
+    """
+    def run(plan: FaultPlan | None):
+        return _run_wllsms(target, plan, FUZZ_WATCHDOG, sanitize, tally)
+
+    call = f"fuzz_wllsms({target!r}"
+    if sanitize:
+        call += ", sanitize=True"
+    return _sweep("wllsms", target, seeds, run(None), run, call)
 
 
 def mask_payloads(payloads, ignore):
@@ -309,37 +273,3 @@ def weaken_pending_sync(name: str) -> Iterator[None]:
         yield
     finally:
         _region.PendingComm.sync = original
-
-
-def fuzz(patterns=CASE_NAMES, targets=FUZZ_TARGETS, seeds=range(50),
-         watchdog: Watchdog | None = FUZZ_WATCHDOG,
-         progress: Callable[[str], None] | None = None,
-         sanitize: bool = False,
-         tally: dict | None = None) -> list[FuzzFailure]:
-    """Sweep seeds over every (pattern, target); returns all failures.
-
-    The baseline for each (pattern, target) is computed once and reused
-    across the whole seed sweep. With ``sanitize=True`` every run also
-    arms the access sanitizer (differential soundness: a pattern the
-    static race pass accepts must never raise ``RaceError`` under any
-    schedule); ``tally`` accumulates ``sanitizer_checks`` across runs
-    for the CI stats artifact.
-    """
-    failures: list[FuzzFailure] = []
-    for pattern in patterns:
-        case = next(c for c in CASES if c.name == pattern)
-        for target in targets:
-            baseline = case.baseline(target, watchdog, sanitize, tally)
-            bad = 0
-            for seed in seeds:
-                failure = fuzz_one(pattern, target, seed,
-                                   watchdog=watchdog, baseline=baseline,
-                                   sanitize=sanitize, tally=tally)
-                if failure is not None:
-                    failures.append(failure)
-                    bad += 1
-            if progress is not None:
-                n = len(list(seeds))
-                progress(f"{pattern:>9s} x {target:<22s} "
-                         f"{n - bad}/{n} seeds ok")
-    return failures

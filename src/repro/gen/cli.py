@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -178,10 +178,7 @@ def _minimize_one(gp: GeneratedProgram, disagreement: Disagreement,
     kind = disagreement.kind
 
     def still_disagrees(source: str) -> bool:
-        probe = GeneratedProgram(seed=gp.seed, mode=gp.mode,
-                                 nprocs=gp.nprocs, source=source,
-                                 planted=gp.planted)
-        result = check_program(probe, config)
+        result = check_program(replace(gp, source=source), config)
         return any(d.kind == kind for d in result.disagreements)
 
     shrunk = minimize_source(gp.source, still_disagrees)

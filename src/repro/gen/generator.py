@@ -103,6 +103,10 @@ class GeneratedProgram:
     source: str
     #: The planted defect kind for racy mode ("" otherwise).
     planted: str = ""
+    #: Values of the source's free clause names (beyond rank/nprocs);
+    #: generated sources have none, a registry pattern text has its
+    #: registry entry's.
+    bindings: dict[str, int] = field(default_factory=dict)
 
     def describe(self) -> str:
         """One-line identity for logs and repro hints."""

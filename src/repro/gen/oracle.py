@@ -1,7 +1,10 @@
-"""Differential static/dynamic oracle over generated programs.
+"""Differential static/dynamic oracle over directive programs.
 
-For each ``(program, nprocs, target)`` the oracle cross-checks every
-claim one side of the toolchain makes against the other side:
+The one differential harness: generated programs, the registry pattern
+texts (at their registry ``nprocs`` and free-name ``bindings``) and the
+example files all go through :func:`check_program`. For each
+``(program, nprocs, target)`` the oracle cross-checks every claim one
+side of the toolchain makes against the other side:
 
 (a) **static vs dynamic** — the verifier's per-target verdict against
     the concrete outcome of the program simulator with the access
@@ -167,7 +170,7 @@ def check_program(gp: GeneratedProgram,
 
     # -- static verdict, swept over every target ---------------------------
     result.checks += 1
-    report = lint_program(program, gp.nprocs,
+    report = lint_program(program, gp.nprocs, extra_vars=gp.bindings,
                           targets=list(config.targets))
     clean_payloads: dict[str, object] = {}
     # Buffers whose contents the directive contract leaves undefined
@@ -176,7 +179,8 @@ def check_program(gp: GeneratedProgram,
     # them — every payload comparison must exclude these bytes.
     undefined: set[tuple[int, str]] = set()
     for target in config.targets:
-        undefined |= undefined_payload_buffers(program, gp.nprocs, target)
+        undefined |= undefined_payload_buffers(
+            program, gp.nprocs, target, extra_vars=gp.bindings)
     if undefined:
         result.explained.append(
             "unguaranteed delivery buffer(s) excluded from payload "
@@ -238,8 +242,9 @@ def _check_one_target(result: OracleResult, program: Program,
     exc: ReproError | None = None
     try:
         outcome = simulate_program(
-            program, gp.nprocs, target=target, sanitize="collect",
-            capture=True, profile=True, max_time=config.max_time)
+            program, gp.nprocs, target=target, extra_vars=gp.bindings,
+            sanitize="collect", capture=True, profile=True,
+            max_time=config.max_time)
     except ReproError as caught:
         exc = caught
     except Exception as caught:  # toolchain bug, not a modeled outcome
@@ -327,9 +332,8 @@ def _check_one_target(result: OracleResult, program: Program,
         result.checks += 1
         failures = fuzz_program(
             program, gp.nprocs, target=key,
-            seeds=range(config.fuzz_seeds),
-            baseline=outcome.payloads,
-            name=f"seed{gp.seed}", ignore=undefined)
+            seeds=range(config.fuzz_seeds), extra_vars=gp.bindings,
+            baseline=outcome.payloads, ignore=undefined)
         for failure in failures:
             result._disagree("schedule-divergence", key, str(failure))
 
@@ -339,7 +343,8 @@ def _check_fix_soundness(result: OracleResult, program: Program,
     """(d): re-prove the fixer's claim with fresh lint + simulation."""
     result.checks += 1
     try:
-        fix = fix_source(gp.source, nprocs=gp.nprocs)
+        fix = fix_source(gp.source, nprocs=gp.nprocs,
+                         extra_vars=gp.bindings)
     except ReproError as exc:
         result._disagree("fix-crash", "*", f"fix run raised: {exc}")
         return
@@ -351,7 +356,7 @@ def _check_fix_soundness(result: OracleResult, program: Program,
         result._disagree("fix-unsound", "*",
                          f"fixed source fails to parse: {exc}")
         return
-    report = lint_program(fixed, gp.nprocs)
+    report = lint_program(fixed, gp.nprocs, extra_vars=gp.bindings)
     bad = [d for d in report.diagnostics
            if (d.severity or severity_of(d.code)) == "error"
            or d.code in RACE_CODES]
@@ -362,13 +367,13 @@ def _check_fix_soundness(result: OracleResult, program: Program,
         return
     for target in Target:
         try:
-            before = simulate_program(program, gp.nprocs,
-                                      target=target).modeled_time
+            before = simulate_program(program, gp.nprocs, target=target,
+                                      extra_vars=gp.bindings).modeled_time
         except ReproError:
             continue
         try:
-            after = simulate_program(fixed, gp.nprocs,
-                                     target=target).modeled_time
+            after = simulate_program(fixed, gp.nprocs, target=target,
+                                     extra_vars=gp.bindings).modeled_time
         except ReproError as exc:
             result._disagree("fix-unsound", target.value,
                              f"fixed program fails to run: {exc}")

@@ -2,13 +2,14 @@
 hand-written MPI reference.
 
 Each pattern's annotated source text (``SOURCE`` in its module) is its
-one directive definition: the sync-plan fuzzer and the chaos soak
-replay it through the program simulator
+one directive definition: the differential oracle
+(:func:`repro.gen.oracle.check_program`) checks it like any generated
+program, the chaos soak replays it through the program simulator
 (:func:`repro.core.analysis.progsim.program_main`), ``repro-trace
---pattern`` profiles it, the static verifier unrolls it as the fuzz
-pattern's twin, and ``repro-lint --catalog`` lints it. The registry
-entry stores the world size the text is written for and the values of
-its free clause names. Texts are parsed on demand, never at import.
+--pattern`` profiles it, and ``repro-lint --catalog`` lints it. The
+registry entry stores the world size the text is written for and the
+values of its free clause names. Texts are parsed on demand, never at
+import.
 """
 
 from __future__ import annotations

@@ -1,16 +1,23 @@
-"""The differential oracle: agreement on clean programs, detection of
-seeded analyzer weakenings, and the contract-undefined payload mask.
+"""The differential oracle: agreement on clean programs and on every
+example file, detection of seeded analyzer weakenings, and the
+contract-undefined payload mask.
 """
+
+from pathlib import Path
+
+import pytest
 
 from repro.core.analysis.lint import lint_program
 from repro.core.analysis.verify import undefined_payload_buffers
 from repro.core.clauses import Target
 from repro.core.pragma import parse_program
 from repro.faults.fuzz import mask_payloads
-from repro.gen.generator import generate
+from repro.gen.generator import GeneratedProgram, generate
 from repro.gen.oracle import WEAKENINGS, OracleConfig, check_program
 
 from .conftest import QUICK
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "pragmas"
 
 
 def test_clean_program_agrees_everywhere():
@@ -97,3 +104,17 @@ def test_mask_payloads_drops_only_named_buffers():
     assert masked == ({"a": [1.0]}, {"b": [3.0]})
     assert mask_payloads(payloads, frozenset()) is payloads
     assert mask_payloads(None, frozenset({(0, "b")})) is None
+
+
+@pytest.mark.parametrize("relpath", sorted(
+    p.relative_to(EXAMPLES).as_posix() for p in EXAMPLES.rglob("*.c")))
+def test_example_file_agrees_everywhere(relpath):
+    """Every example file — clean, ``bad/``, ``races/``, the pinned
+    ``generated/`` catches and ``slow/`` — is a fixed oracle input: its
+    static verdict, simulated outcome, cross-target payloads and
+    jittered schedules agree on all three targets."""
+    gp = GeneratedProgram(seed=0, mode="example", nprocs=8,
+                          source=(EXAMPLES / relpath).read_text())
+    result = check_program(gp, OracleConfig(fuzz_seeds=2))
+    assert result.ok, [str(d) for d in result.disagreements]
+    assert set(result.dynamic) == {t.value for t in Target}

@@ -16,6 +16,7 @@ from repro import mpi
 from repro.core.analysis.progsim import simulate_program
 from repro.core.clauses import Target
 from repro.core.pragma import parse_program
+from repro.gen.generator import GeneratedProgram
 from repro.netmodel import gemini_model
 from repro.patterns import get_pattern
 from repro.patterns.halo2d import HaloBuffers, grid_shape
@@ -46,6 +47,14 @@ def run_text(source: str, nprocs: int, target: str,
     return simulate_program(parse_program(source), nprocs, target=target,
                             extra_vars=bindings, model=model,
                             capture=True)
+
+
+def registry_program(name: str) -> GeneratedProgram:
+    """The registry text of ``name`` as an oracle input, at its
+    registry world size and bindings."""
+    spec = get_pattern(name)
+    return GeneratedProgram(seed=0, mode="registry", nprocs=spec.nprocs,
+                            source=spec.source, bindings=spec.bindings)
 
 
 def text_payloads(name: str, nprocs: int, target: str,

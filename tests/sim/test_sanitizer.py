@@ -18,7 +18,8 @@ import pytest
 from repro.core.analysis.progsim import simulate_program
 from repro.core.pragma import parse_program
 from repro.errors import RaceError
-from repro.faults.fuzz import CASES, FUZZ_TARGETS, FUZZ_WATCHDOG
+from repro.faults.fuzz import FUZZ_TARGETS, fuzz_wllsms
+from repro.patterns import PATTERNS, get_pattern
 from repro.sim import Engine
 from repro.sim.sanitizer import Access
 
@@ -34,6 +35,12 @@ def simulate_example(relpath, target, nprocs=8):
     source = (ROOT / "examples" / "pragmas" / relpath).read_text()
     return simulate_program(parse_program(source), nprocs,
                             target=target, sanitize=True)
+
+
+def simulate_text(name, target):
+    spec = get_pattern(name)
+    return simulate_program(spec.program(), spec.nprocs, target=target,
+                            extra_vars=spec.bindings, sanitize=True)
 
 
 class TestArming:
@@ -62,21 +69,21 @@ class TestNegativeControl:
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_ring_fuzz_baseline_sanitizes_clean(self, target):
-        tally = {}
-        CASES[0].baseline(target, FUZZ_WATCHDOG, True, tally)
-        assert tally["sanitizer_checks"] > 0
-        assert tally["runs"] >= 1
+        outcome = simulate_text("ring", target)
+        assert outcome.stats.sanitizer_checks > 0
 
     @pytest.mark.slow
     @pytest.mark.parametrize("target", TARGETS)
     def test_all_fuzz_patterns_sanitize_clean(self, target):
         # Full differential negative control: every statically
-        # race-free fuzz pattern, unperturbed, on every target.
+        # race-free registry text, unperturbed, and WL-LSMS under one
+        # jittered schedule, on every target.
+        for name in PATTERNS:
+            assert simulate_text(name, target).stats.sanitizer_checks > 0
         tally = {}
-        for case in CASES:
-            case.baseline(target, FUZZ_WATCHDOG, True, tally)
+        assert fuzz_wllsms(target, range(1), sanitize=True,
+                           tally=tally) == []
         assert tally["sanitizer_checks"] > 0
-        assert tally["runs"] >= len(CASES)
 
 
 class TestPositiveControl:
