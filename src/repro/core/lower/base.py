@@ -84,19 +84,6 @@ class Backend(abc.ABC):
         """Phase 2 of a consolidated sync: block until every given
         handle's transfer is complete on this rank."""
 
-    def sync(self, sends: list[SendHandle], recvs: list[RecvHandle]) -> None:
-        """One consolidated synchronization covering all given handles.
-
-        This is the call the directive translation reduces adjacent
-        communication to (Section III-A: "synchronization is
-        consolidated and reduced in most cases to one call at the end
-        of all the adjacent communication"). Both phases back to back;
-        a multi-backend consolidated sync interleaves them instead
-        (see :meth:`repro.core.region.PendingComm.sync`).
-        """
-        self.sync_publish(sends)
-        self.sync_wait(sends, recvs)
-
 
 def get_backend(env: "Env", target: Target) -> Backend:
     """This rank's backend for ``target`` (created once, then cached)."""

@@ -27,10 +27,14 @@ order (the same discipline MPI imposes on collectives).
 
 from __future__ import annotations
 
+import abc
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.buffers import array_of
+from repro.core.lower.base import Backend, RecvHandle, SendHandle
 from repro.sim.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,25 +141,123 @@ class ExposureService:
         """
         self.staged[(src, dst, seq)] = commit
 
-    def _commit_staged(self, key: tuple[int, int, int]) -> None:
+    def await_notify(self, env: "Env", src: int, dst: int,
+                     seq: int) -> None:
+        """The receiver waits for one message's notify, then commits
+        the message's staged write, if any."""
+        key = (src, dst, seq)
+        if key in self.notified:
+            env.advance_to(self.notified.pop(key))
+        else:
+            self.notify_waiters[key] = env.make_waiter(
+                f"one-sided notify of message {seq} from rank {src}")
+            env.block()
+            del self.notified[key]
         commit = self.staged.pop(key, None)
         if commit is not None:
             commit()
 
-    def await_notify(self, env: "Env", src: int, dst: int,
-                     seq: int) -> float:
-        """The receiver waits for one message's notify; returns its
-        visibility time (the caller's clock already covers it)."""
-        key = (src, dst, seq)
-        t = self.notified.pop(key, None)
-        if t is not None:
-            env.advance_to(t)
-            self._commit_staged(key)
-            return t
-        waiter = env.make_waiter(
-            f"one-sided notify of message {seq} from rank {src}")
-        self.notify_waiters[key] = waiter
-        env.block()
-        del self.notified[(src, dst, seq)]
-        self._commit_staged(key)
-        return env.now
+
+class OneSidedBackend(Backend):
+    """The put–flush–notify protocol of the one-sided targets.
+
+    Posting a send allocates the pair's sequence number and issues the
+    target's put, which writes the receiver's buffer at once or — under
+    a bound fault plan — hands the write to the service to stage until
+    the receiver consumes the notify. The put's target-side write and
+    source read stay open sanitizer windows until the origin's flush.
+    The sync publishes (flush, then one notify per message) and the
+    receiver waits for the notify of every message it expects.
+
+    A target subclass sets :attr:`tp` (the notify's transport) and the
+    wording of its put windows, and supplies :meth:`_put`,
+    :meth:`_flush` and, when the receiver must expose its buffer,
+    :meth:`_expose`.
+    """
+
+    #: Sanitizer wording: ``the <put_name> of message #n into <peer> d's
+    #: <dest_buffer>``.
+    put_name = "put"
+    peer = "rank"
+    dest_buffer = "buffer"
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.svc = ExposureService.attach(env.engine)
+
+    @abc.abstractmethod
+    def _put(self, dest: int, seq: int, sbuf, rbuf, count: int,
+             defer) -> tuple[float, np.ndarray, int]:
+        """Issue one message's put; returns ``(completion time, the
+        array it writes, nbytes)``. With ``defer`` set, the target-side
+        write is not performed but passed to ``defer`` as a callable."""
+
+    def _expose(self, source: int, seq: int, arr: np.ndarray) -> None:
+        """The receiver's side of posting one expected message."""
+
+    @abc.abstractmethod
+    def _flush(self, sends: list[SendHandle]) -> None:
+        """Complete this rank's outstanding puts (``sends`` is
+        non-empty)."""
+
+    def post_send(self, dest: int, sbuf, rbuf, count: int) -> SendHandle:
+        env = self.env
+        rank = env.rank
+        seq = self.svc.next_send_seq(rank, dest)
+        defer = (None if env.engine.faults is None
+                 else partial(self.svc.stage, rank, dest, seq))
+        completion, written, nbytes = self._put(dest, seq, sbuf, rbuf,
+                                                count, defer)
+        handle = SendHandle(backend=self, dest=dest, seq=seq,
+                            nbytes=nbytes, payload=completion)
+        san = env.engine.sanitizer
+        if san is not None:
+            # The put's target-side write and source-side read are both
+            # live until the origin's flush (the directive contract: no
+            # buffer may be touched before the guaranteeing sync).
+            what = f"the {self.put_name} of message #{seq}"
+            san.open_window(
+                ("put", id(handle)), rank, written, 0, nbytes, "write",
+                f"{what} into {self.peer} {dest}'s {self.dest_buffer}")
+            san.open_window(
+                ("put-src", id(handle)), rank, array_of(sbuf), 0, nbytes,
+                "read", f"{what} to {self.peer} {dest} (source read)")
+        return handle
+
+    def post_recv(self, source: int, rbuf, count: int) -> RecvHandle:
+        env = self.env
+        env.engine.check_peer_alive(source)
+        arr = array_of(rbuf)
+        seq = self.svc.next_recv_seq(source, env.rank)
+        self._expose(source, seq, arr)
+        return RecvHandle(backend=self, source=source, seq=seq,
+                          nbytes=count * arr.dtype.itemsize)
+
+    def sync_publish(self, sends: list[SendHandle]) -> None:
+        if not sends:
+            return
+        env = self.env
+        san = env.engine.sanitizer
+        # Complete the puts, then one notify per message (the flag put
+        # the generated code pairs with the data).
+        self._flush(sends)
+        notify_visible = env.now + self.tp.wire_time(8)
+        for h in sends:
+            if san is not None:
+                # Close at the flush, then publish the post-flush
+                # snapshot with the notify: the receiver's acquire
+                # orders the put before its post-sync accesses.
+                san.close_window(("put", id(h)), env.rank)
+                san.close_window(("put-src", id(h)), env.rank)
+                san.publish(("notify", env.rank, h.dest, h.seq), env.rank)
+            self.svc.notify(env, env.rank, h.dest, h.seq, notify_visible)
+
+    def sync_wait(self, sends: list[SendHandle],
+                  recvs: list[RecvHandle]) -> None:
+        env = self.env
+        san = env.engine.sanitizer
+        for h in recvs:
+            self.svc.await_notify(env, h.source, env.rank, h.seq)
+            if san is not None:
+                san.acquire(("notify", h.source, env.rank, h.seq),
+                            env.rank)

@@ -16,9 +16,7 @@ This package implements exactly that machinery:
   ``(displacement, blocklength, basic type)`` triples;
 * :mod:`~repro.dtypes.extract` — "compile-time" extraction of composite
   descriptions from Python struct definitions, enforcing the paper's
-  prohibitions;
-* :mod:`~repro.dtypes.packer` — contiguous pack/unpack (the manual
-  ``MPI_Pack`` path the directives replace).
+  prohibitions.
 """
 
 from repro.dtypes.primitives import (
@@ -34,7 +32,6 @@ from repro.dtypes.primitives import (
 )
 from repro.dtypes.composite import CompositeType, Field, StructTriples
 from repro.dtypes.extract import extract_composite
-from repro.dtypes.packer import pack_arrays, unpack_arrays
 
 __all__ = [
     "PRIMITIVES",
@@ -50,6 +47,4 @@ __all__ = [
     "Field",
     "StructTriples",
     "extract_composite",
-    "pack_arrays",
-    "unpack_arrays",
 ]

@@ -15,7 +15,7 @@ written in the library DSL, has its own :func:`fuzz_wllsms`.
 Two mechanisms make under-synchronization *observable* rather than
 merely possible:
 
-* **deferred delivery** (`FaultPlan.deferred_delivery`): in the
+* **deferred delivery** (whenever a `FaultPlan` is bound): in the
   perturbed runs, payload bytes land in the user buffer only at the
   synchronization call that guarantees them, while the baseline runs
   unfaulted with immediate delivery — the data the translation
@@ -242,14 +242,14 @@ def weaken_pending_sync(name: str) -> Iterator[None]:
     * ``drop-last-recv`` — every sync silently pops its last pending
       receive handle before synchronizing;
     * ``drop-all-recvs`` — every sync completes sends only;
-    * ``skip-first-sync`` — each rank's first *non-empty* sync call is
-      elided entirely (handles discarded, nothing waited on).
+    * ``skip-first-sync`` — each rank's first *non-empty* sync call of
+      each run is elided entirely (handles discarded, nothing waited
+      on).
 
     The weakenings mirror realistic consolidation bugs: an off-by-one
     over the handle list, a send-only flush, and a dropped sync point.
     """
     original = _region.PendingComm.sync
-    skipped: set[int] = set()
 
     def weakened(self: "_region.PendingComm", env) -> None:
         if name == "drop-last-recv":
@@ -258,6 +258,10 @@ def weaken_pending_sync(name: str) -> Iterator[None]:
         elif name == "drop-all-recvs":
             self.recvs.clear()
         elif name == "skip-first-sync":
+            # One skip set per engine run, so every run inside the
+            # block is weakened.
+            skipped = env.engine.services.setdefault(
+                "weakened_first_sync", set())
             if self and env.rank not in skipped:
                 skipped.add(env.rank)
                 self.sends.clear()

@@ -41,7 +41,6 @@ class FaultInjector:
 
     def __init__(self, plan: "FaultPlan") -> None:
         self.plan = plan
-        self.deferred_delivery = plan.deferred_delivery
         self._perturbs_timing = plan.perturbs_timing
         self._engine: "Engine | None" = None
         self._rngs: dict[tuple[int, int], object] = {}

@@ -94,13 +94,6 @@ class FaultPlan:
     stalls: tuple[RankStall, ...] = ()
     #: Scheduled rank kills.
     crashes: tuple[RankCrash, ...] = ()
-    #: When true (default), payload writes land in user buffers only at
-    #: the synchronization call that guarantees them (Wait/Waitall, a
-    #: blocking Recv, the one-sided notify consumption) instead of at
-    #: match time — so a sync plan that under-synchronizes leaves stale
-    #: data that a comparison against an unfaulted immediate-delivery
-    #: run catches.
-    deferred_delivery: bool = True
 
     def __post_init__(self) -> None:
         for attr in ("delay_jitter", "reorder_factor"):

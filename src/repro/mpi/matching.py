@@ -132,7 +132,7 @@ def _complete_match(world: "World", env: "Env", s: SendOp, r: RecvOp) -> None:
         s.completion = finish
         r.completion = finish + tp.recv_overhead(s.nbytes)
 
-    if faults is not None and faults.deferred_delivery:
+    if faults is not None:
         # The payload is staged and lands in the user buffer only when
         # the receiver's completion call commits it — so a missing
         # Wait/Waitall leaves stale data the fuzzer can detect.

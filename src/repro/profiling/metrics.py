@@ -206,7 +206,9 @@ def aggregate(profile: Profile) -> ProfileMetrics:
             rm.stall_s += dur
         elif span.kind == "window":
             windows.setdefault(span.rank, []).append((span.t0, span.t1))
-        elif span.kind in ("message", "notify"):
+        elif span.kind == "message":
+            # Payload only, as in ``comm_matrix``: one-sided ``notify``
+            # spans are synchronization.
             src = span.attrs.get("src")
             nbytes = int(span.attrs.get("nbytes", 0))
             rm.msgs_recv += 1

@@ -100,29 +100,16 @@ class Shmem:
         return target
 
     def _put(self, target: SymArray, source: np.ndarray, pe: int,
-             offset: int, elem_size: int | None, name: str) -> float:
-        completion, commit = self._put_impl(
-            target, source, pe, offset, elem_size, name, staged=False)
-        commit()
-        return completion
+             offset: int, elem_size: int | None, name: str,
+             defer=None) -> float:
+        """Issue one put; returns its remote-completion time.
 
-    def put_staged(self, target: SymArray, source: np.ndarray, pe: int,
-                   offset: int = 0, elem_size: int | None = None,
-                   name: str = "shmem_put") -> tuple[float, "object"]:
-        """Issue a put whose target-side visibility is deferred.
-
-        Used by the directive backends under fault injection (deferred
-        delivery): the wire cost and pending-completion bookkeeping
-        happen now, but the remote buffer is only written when the
-        returned ``commit`` callable runs — at the synchronization that
-        guarantees the put. Returns ``(completion_time, commit)``.
+        The wire cost and pending-completion bookkeeping happen now.
+        With ``defer`` set (the directive backends under fault
+        injection), the put reads the source now but the target-side
+        write is handed to ``defer`` as a callable, to run at the
+        synchronization that guarantees the put.
         """
-        return self._put_impl(target, source, pe, offset, elem_size,
-                              name, staged=True)
-
-    def _put_impl(self, target: SymArray, source: np.ndarray, pe: int,
-                  offset: int, elem_size: int | None, name: str,
-                  *, staged: bool):
         target = self._check_sym(target)
         if not isinstance(source, np.ndarray):
             source = np.asarray(source)
@@ -164,17 +151,19 @@ class Shmem:
             profile.add(pe, "message", post_t0, completion,
                         src=self.env.rank, dst=pe, nbytes=nbytes,
                         transport="shmem", call=name)
-        if staged:
-            # The put conceptually reads the source *now*: snapshot it,
-            # since the commit runs later (at the covering sync).
-            src = src.copy()
-
-        def commit(mirror=mirror, lo=offset, src=src, target=target,
-                   pe=pe, completion=completion):
-            mirror[lo:lo + src.size] = src
+        if defer is None:
+            mirror[offset:offset + src.size] = src
             self._notify_cell_waiters(target, pe, completion)
+        else:
+            # The commit runs later: snapshot the source it reads now.
+            data = src.copy()
 
-        return completion, commit
+            def commit():
+                mirror[offset:offset + data.size] = data
+                self._notify_cell_waiters(target, pe, completion)
+
+            defer(commit)
+        return completion
 
     def put(self, target: SymArray, source: np.ndarray, pe: int,
             offset: int = 0) -> float:

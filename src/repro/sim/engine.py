@@ -273,9 +273,9 @@ class Engine:
         self.nprocs = nprocs
         self.max_time = max_time
         #: The bound fault injector (``None`` on the benign schedule).
-        #: Communication libraries consult ``faults.message_delay`` and
-        #: ``faults.deferred_delivery``; the engine itself consults
-        #: ``faults.on_dispatch``.
+        #: Communication libraries consult ``faults.message_delay`` and,
+        #: while one is bound, defer payload delivery to the covering
+        #: sync; the engine itself consults ``faults.on_dispatch``.
         self.faults = faults.compile() if hasattr(faults, "compile") else faults
         self.watchdog = watchdog
         #: The bound recovery context (``None`` = no fault tolerance).

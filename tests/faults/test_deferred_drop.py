@@ -18,8 +18,7 @@ from repro.sim import Engine
 _WD = Watchdog(wall_timeout=60.0, stall_events=1_000_000)
 
 #: Aggressive loss: most messages drop at least once.
-_DROPPY = dict(seed=11, drop_prob=0.6, max_retransmits=5,
-               deferred_delivery=True)
+_DROPPY = dict(seed=11, drop_prob=0.6, max_retransmits=5)
 
 
 def _main(name, target):

@@ -102,6 +102,16 @@ class TestWeakenedSyncIsCaught:
                                 "program": parse_program(gp.source)})
             assert [str(f) for f in rerun] == [detail]
 
+    @pytest.mark.parametrize("target", FUZZ_TARGETS)
+    def test_skip_first_sync_weakens_every_run(self, target):
+        """Each run inside the block is weakened, the fuzz call's own
+        unfaulted baseline included: the jittered run after it still
+        skips a sync, and the fuzzer catches it."""
+        with weaken_pending_sync("skip-first-sync"):
+            [failure] = fuzz_wllsms(target, [0])
+            assert fuzz_text("ring", target, [0])
+        assert failure.pattern == "wllsms" and failure.target == target
+
 
 def test_diff_names_rank_and_buffer():
     """The one payload comparator: per-rank dicts name the buffer,

@@ -11,7 +11,6 @@ class TestValidation:
     def test_defaults_are_benign(self):
         plan = FaultPlan()
         assert not plan.perturbs_timing
-        assert plan.deferred_delivery
         assert plan.stalls == () and plan.crashes == ()
 
     @pytest.mark.parametrize("kwargs", [
@@ -50,7 +49,6 @@ class TestCompile:
     def test_compile_returns_injector(self):
         inj = FaultPlan.jitter(3).compile()
         assert isinstance(inj, FaultInjector)
-        assert inj.deferred_delivery
 
     def test_draws_are_seed_deterministic(self):
         tp = gemini_model().transport(MPI_2SIDED)

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.analysis.progsim import simulate_program
+from repro.core.clauses import Target
+from repro.patterns import get_pattern
 from repro.profiling.metrics import _overlap, _union, aggregate
 from repro.profiling.spans import Profile
+from repro.sim import comm_matrix
 
 
 class TestIntervalHelpers:
@@ -71,3 +75,22 @@ class TestAggregate:
         m = aggregate(p)
         assert m.realized_overlap_ratio == 0.0
         assert m.forfeited_overlap_s == 0.0
+
+
+@pytest.mark.parametrize("target", [t.value for t in Target])
+@pytest.mark.parametrize("name,nprocs", [("ring", 5), ("halo1d", 6)])
+def test_traffic_agrees_with_comm_matrix_and_stats(name, nprocs, target):
+    """``aggregate`` counts payload only: one-sided ``notify`` spans are
+    synchronization, so its totals match the communication matrix and
+    the engine's counters on every target."""
+    spec = get_pattern(name)
+    outcome = simulate_program(spec.program(), nprocs, target=target,
+                               extra_vars=spec.bindings, profile=True)
+    m = aggregate(outcome.profile)
+    matrix = comm_matrix(outcome.profile)
+    counts = {(m.total_messages, m.total_bytes),
+              (matrix.total_messages, matrix.total_bytes),
+              (outcome.stats.total_messages, outcome.stats.total_bytes)}
+    assert len(counts) == 1, counts
+    assert sum(r.msgs_sent for r in m.ranks) == m.total_messages
+    assert sum(r.bytes_sent for r in m.ranks) == m.total_bytes
